@@ -2,15 +2,12 @@
 
 Exit codes: 0 success, 2 identity-check failure, 3 configuration error,
 4 precision exhaustion.  Every error message names the failing stage.
-The environment variable HPL_THREADS bounds worker parallelism for
-independent verification configurations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -41,7 +38,6 @@ from .serialize import (
 )
 from .weights import WeightCharacter, WeightPair, classify_pair
 from . import suites
-from .suites import thread_limit
 
 
 def _ints(text: str):
@@ -141,10 +137,6 @@ def _build_parser():
     r = sub.add_parser("report", help="render a stored evaluation report")
     r.add_argument("--in", dest="infile", required=True)
     return ap
-
-
-def _load_form(path):
-    return form_from_dict(read_json(path))
 
 
 def _cmd_gen(args) -> int:
@@ -348,8 +340,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "vanishing":
         res = suites.suite_vanishing(D=args.D, p=args.p, N=args.N, B=args.B)
     doc = {"suite": res["name"], "passed": res["passed"],
-           "seconds": res["seconds"], "details": res["details"],
-           "version": __version__}
+           "details": res["details"], "version": __version__}
     if args.out:
         write_json(args.out, doc)
     line = "PASS" if res["passed"] else "FAIL"
@@ -395,7 +386,6 @@ def _cmd_report(args) -> int:
 
 def dispatch(argv) -> int:
     args = _build_parser().parse_args(argv)
-    thread_limit()  # validate the environment early
     handlers = {
         "gen": _cmd_gen,
         "apply": _cmd_apply,

@@ -94,10 +94,6 @@ class DecompositionFailed(PadicgzError):
     """Polynomial decomposition verification failed (construction bug)."""
 
 
-class ExceptionalZero(PadicgzError):
-    """A vanishing Euler factor; the value is withheld."""
-
-
 class BadPrime(ConfigError):
     """p divides a normalization denominator of a built-in form."""
 

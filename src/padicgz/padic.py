@@ -6,9 +6,12 @@ lift of the smallest quadratic non-residue mod p.  With that choice the
 ring Frobenius is the coordinate map (a, b) -> (a, -b), and X generates
 the residue-field extension with X^(p^2-1) = 1.
 
-All operations are exact modulo p^N.  Transcendental operations (log,
-exp, p-adic powers) are evaluated with internal guard digits so the
-returned truncation is correct to the full working precision.
+All operations are exact modulo p^N.  The log and exp series (`plog`,
+`pexp`) are evaluated with internal guard digits so the returned
+truncation is correct to the full working precision.  p-adic powers
+(`ppow`) are one modular power and use neither series; `teichmuller`,
+`plog` and `pexp` stay as the series definition that the tests check
+`ppow` against.
 """
 
 from __future__ import annotations
@@ -118,9 +121,6 @@ class PadicRing:
         if x.ring.degree != 1:
             raise ConfigError("only degree-1 elements embed diagonally")
         return self.make(x.a % self.modulus)
-
-    def with_precision(self, M: int) -> "PadicRing":
-        return PadicRing(self.p, M, self.degree)
 
     def residue_order(self) -> int:
         """Order of the residue field's unit group, p^f - 1."""
@@ -270,21 +270,6 @@ class PadicNum:
         return PadicNum(self.ring, self.a // pv, self.b // pv)
 
 
-def arith(a: PadicNum, b: PadicNum, kind: str) -> PadicNum:
-    """Dispatch form of the four basic operations ('add sub mul inv')."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "inv":
-        if b is not None and b is not a:
-            raise ConfigError("inv takes a single operand")
-        return a.inv()
-    raise ConfigError(f"unknown arith kind {kind!r}")
-
-
 def teichmuller(x: PadicNum) -> PadicNum:
     """The Teichmueller representative: omega == x mod p, omega^(p^f-1) = 1."""
     if not x.is_unit():
@@ -362,8 +347,11 @@ def pexp(x: PadicNum) -> PadicNum:
             q *= p
         return v
 
+    # v(x^n/n!) >= n*minval - (n-1)//(p-1), a bound that never decreases
+    # in n (v_p(n!) itself jumps at powers of p), so every omitted term
+    # vanishes mod p^N
     nmax = 1
-    while nmax * minval - fact_val(nmax) < N + 1:
+    while nmax * minval - (nmax - 1) // (p - 1) < N + 1:
         nmax += 1
     guard = fact_val(nmax) + 2
     R = _guard_ring(ring, guard)
@@ -378,48 +366,36 @@ def pexp(x: PadicNum) -> PadicNum:
     return acc.truncate(ring)
 
 
-def log_exp(x: PadicNum, direction: str) -> PadicNum:
-    if direction == "log":
-        return plog(x)
-    if direction == "exp":
-        return pexp(x)
-    raise ConfigError(f"direction must be 'log' or 'exp', got {direction!r}")
-
-
-_PPOW_BASE_CACHE: dict = {}
-
-
 def ppow(t: PadicNum, u, chi: int) -> PadicNum:
     """t^k for the character k with finite part chi and analytic exponent u.
 
-    Computed as omega(t)^chi * exp(u * log(t / omega(t))).  For an integer
-    u with chi == u mod p^f - 1 this agrees with repeated multiplication.
-    u may be an int or a degree-1 PadicNum.
+    Equal to omega(t)^chi * exp(u * log(t / omega(t))), computed as one
+    power t^E with E == chi mod p^f - 1 and E == u mod p^(N-1).  That is
+    exact: the 1-units mod p^N have exponent dividing p^(N-1), which is
+    prime to p^f - 1, the order of the Teichmueller part.  For an integer
+    u with chi == u mod p^f - 1 this is t^u.  u may be an int or a
+    degree-1 PadicNum.
+
+    At p = 2 only the corner with chi even, u in 4Z_2 and t == 1 mod 4 is
+    defined (there log converges on t itself); elsewhere ConvergenceDomain.
     """
     ring = t.ring
     if not t.is_unit():
         raise NonUnitInverse("ppow requires a unit base")
+    uval = u if isinstance(u, int) else u.lift()
     if ring.p == 2:
-        # only the proviso'd corner is allowed: chi trivial on 2-torsion
-        # and analytic exponent in 4Z_2
-        uval = u if isinstance(u, int) else u.lift()
         if chi % 2 != 0 or uval % 4 != 0:
             raise ConvergenceDomain("p = 2 requires chi even and u in 4Z_2")
-    cached = _PPOW_BASE_CACHE.get(t)
-    if cached is None:
-        omega = teichmuller(t)
-        logt = plog(t * omega.inv())
-        if len(_PPOW_BASE_CACHE) > 200_000:
-            _PPOW_BASE_CACHE.clear()
-        _PPOW_BASE_CACHE[t] = (omega, logt)
-    else:
-        omega, logt = cached
-    if isinstance(u, int):
-        ue = ring.from_int(u) if ring.degree == 1 else ring.make(u)
-    else:
-        ue = ring.embed(u)
-    chi_red = chi % ring.residue_order()
-    return (omega**chi_red) * pexp(ue * logt)
+        if t.a % 4 == 3:
+            raise ConvergenceDomain("p = 2 requires t == 1 mod 4")
+    if not isinstance(u, int):
+        ring.embed(u)  # ConfigError for u from another prime or lower precision
+    order, pk = ring.residue_order(), ring.p ** (ring.N - 1)
+    c = chi % order
+    e = c + order * ((uval - c) * pow(order, -1, pk) % pk)
+    if ring.degree == 1:
+        return ring.make(pow(t.a, e, ring.modulus))
+    return t**e
 
 
 def pbinom(u, j: int, ring: PadicRing = None) -> PadicNum:

@@ -43,12 +43,6 @@ class QExpContext:
     def primes_above_p(self):
         return (1, 2) if self.sp.kind == "split" else (1,)
 
-    def mul_key(self, key, gen):
-        return self.field.mul(key, gen)
-
-    def div_key(self, key, gen):
-        return self.field.divide_exact(key, gen)
-
 
 class HilbertQExp:
     """Truncated Hilbert q-expansion over the context field."""
@@ -96,9 +90,6 @@ class HilbertQExp:
                 f"coefficient at trace {self.trace(key)} beyond bound {self.bound}"
             )
         return self.coeffs.get(key, self.ctx.ring.zero)
-
-    def keys_sorted(self):
-        return sorted(self.coeffs, key=lambda k: (self.trace(k),) + k)
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -61,10 +61,6 @@ class RealQuadraticField:
         """N(phi) = (1 - D)/4."""
         return (1 - self.D) // 4
 
-    @property
-    def fundamental_unit(self):
-        return _NARROW_ONE_TABLE[self.D]
-
     # -- element arithmetic on (a, b) = a + b*phi ----------------------
 
     def mul(self, x, y):

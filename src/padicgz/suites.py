@@ -8,13 +8,9 @@ implementations.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-
-from .errors import ConfigError
 
 from .formgen import (
     delta_form,
@@ -50,23 +46,11 @@ from .serialize import context_for, dump
 from .weights import WeightCharacter
 
 
-def thread_limit() -> int:
-    """Worker-parallelism bound from HPL_THREADS (default 1)."""
-    raw = os.environ.get("HPL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HPL_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError("HPL_THREADS must be >= 1")
-    return n
-
-
 def _result(name, passed, t0, details):
     return {
         "name": name,
         "passed": bool(passed),
-        "seconds": round(time.time() - t0, 2),
+        "seconds": round(time.perf_counter() - t0, 2),
         "details": details,
     }
 
@@ -101,7 +85,7 @@ def suite_operators(D=5, primes=(7, 11), N=12, B=40, count=100):
     Coefficientwise identities run on dense bound-B forms; the two
     multiplicative identities (Leibniz, diagonal-restriction ring map)
     run on sparse seeded forms so the whole battery stays fast."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
     for p in primes:
@@ -140,7 +124,7 @@ def suite_operators(D=5, primes=(7, 11), N=12, B=40, count=100):
 def suite_nabla_iteration(D=5, primes=(7, 11), N=12, B=40, rmax=5):
     """Criterion 2: the closed iteration formula equals r-fold single
     steps on depleted parallel-weight Eisenstein input, split and inert."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
     for p in primes:
@@ -163,7 +147,7 @@ def suite_continuity(D=5, primes=(7, 11), N=12, B=40, s=1):
     """Criterion 3: p-adic continuity of the iteration in the exponent:
     perturbing the analytic exponent by (p-1)p^m moves every coefficient
     by at most p^(m+1)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
     for p in primes:
@@ -189,35 +173,26 @@ def suite_continuity(D=5, primes=(7, 11), N=12, B=40, s=1):
 
 def suite_gz_inert(D=5, p=7, N=12, B=40, s_values=(0, 1, 2), deltas=(0, 2, 4)):
     """Criterion 4: the inert identity tau G = (-1)^s s! zeta*(nabla^(-s-1,0) g)
-    over the (s, delta) grid of parallel weights, exact on all coefficients.
-
-    Independent configurations are pure-function evaluations on immutable
-    values; HPL_THREADS > 1 runs them on a worker pool."""
-    t0 = time.time()
+    over the (s, delta) grid of parallel weights, exact on all coefficients."""
+    t0 = time.perf_counter()
     ctx = context_for(D, p, N)
-    configs = [(s, d) for s in s_values for d in deltas]
-
-    def one(sd):
-        s, d = sd
-        w = s + 2 + d
-        k = 2 * d + 2
-        g = hilbert_eisenstein(w, ctx, B)
-        rep = verify_gz(g, (w, w), s, k, "inert")
-        return {
-            "ell": [w, w],
-            "s": s,
-            "k": k,
-            "agreement": rep.agreement_valuation,
-            "table": rep.lhs_agreement_table,
-            "passed": rep.passed,
-        }
-
-    workers = thread_limit()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            details = list(pool.map(one, configs))
-    else:
-        details = [one(sd) for sd in configs]
+    details = []
+    for s in s_values:
+        for d in deltas:
+            w = s + 2 + d
+            k = 2 * d + 2
+            g = hilbert_eisenstein(w, ctx, B)
+            rep = verify_gz(g, (w, w), s, k, "inert")
+            details.append(
+                {
+                    "ell": [w, w],
+                    "s": s,
+                    "k": k,
+                    "agreement": rep.agreement_valuation,
+                    "table": rep.lhs_agreement_table,
+                    "passed": rep.passed,
+                }
+            )
     ok = all(row["passed"] and row["agreement"] >= N for row in details)
     return _result("gz-inert", ok, t0, details)
 
@@ -225,7 +200,7 @@ def suite_gz_inert(D=5, p=7, N=12, B=40, s_values=(0, 1, 2), deltas=(0, 2, 4)):
 def suite_gz_split(D=5, p=11, N=12, B=40, ell=(8, 8), s_values=(0, 1)):
     """Criterion 5: the split identity through the overconvergent
     projection, with the denominator budget reported and bounded."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = context_for(D, p, N)
     g = hilbert_eisenstein(ell[0], ctx, B)
     details = []
@@ -253,7 +228,7 @@ def suite_decomposition(D=5, p=11, N=12, B=40, tuples=50, seed=77):
     """Criterion 6(a)+(b): the monomial-split polynomial decomposition on
     random root tuples, and the split decomposition identity on the
     Eisenstein eigenform (verified inside build_split_primitives)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring = PadicRing(p, 10)
     rng = random.Random(seed)
     details = []
@@ -281,7 +256,7 @@ def suite_decomposition(D=5, p=11, N=12, B=40, tuples=50, seed=77):
 def suite_vanishing(D=5, p=11, N=12, B=40, count=20):
     """Criterion 6(c)+(d): exact vanishing of U zeta* V_0(p_2) on depleted
     inputs, and the U-annihilation certificate for e(tau H1 + tau H2) = 0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = context_for(D, p, N)
     details = []
     ok = True
@@ -318,7 +293,7 @@ def suite_vanishing(D=5, p=11, N=12, B=40, count=20):
 
 def suite_slope(p=7, N=12, B=98):
     """Criterion 7: the slope machinery on the demo basis."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring = PadicRing(p, N)
     basis = demo_basis(ring, B)
     details = []
@@ -374,7 +349,7 @@ def _value_agreement(v_low: ScaledPadic, v_high: ScaledPadic) -> int:
 def suite_end_to_end(D=5, N=12, B=40):
     """Criterion 8: byte-reproducibility, stability under N -> N + 2, and
     the main-theorem relation on both demo configurations."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
     for p, kind in ((7, "inert"), (11, "split")):
@@ -444,7 +419,7 @@ def _frac_to_scaled(fr: Fraction, ring) -> ScaledPadic:
 def suite_euler_table(p=7, N=8):
     """Criterion 9: the Euler factor formulas against ten hand-substituted
     rational tuples, via exact Fraction arithmetic."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring = PadicRing(p, N)
     F = Fraction
     # (kind, t, g-roots, f-roots, expected (E_fstar, E_p, E_0p))

@@ -84,8 +84,14 @@ def test_report_byte_stability(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_hpl_threads_validation(monkeypatch, capsys):
-    monkeypatch.setenv("HPL_THREADS", "zero")
-    assert main(["classify", "--l", "2,2", "--k", "2"]) == 3
-    monkeypatch.setenv("HPL_THREADS", "2")
-    assert main(["classify", "--l", "2,2", "--k", "2"]) == 0
+def test_verify_report_byte_stability(tmp_path, capsys):
+    # B = 1 is the smallest trace bound that keeps coefficients; wall time
+    # stays on the PASS line and out of the report file
+    args = ["verify", "gz-split", "--D", "5", "--p", "11", "--l", "8,8",
+            "--s", "1", "--N", "12", "--B", "1"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "seconds" not in read_json(a)
+    assert " s)" in capsys.readouterr().out

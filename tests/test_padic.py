@@ -164,6 +164,75 @@ def test_ppow_additive_in_exponent():
         assert lhs == rhs
 
 
+def _log_exp_ppow(t, u, chi):
+    """The series definition omega(t)^chi * exp(u * log(t / omega(t)))."""
+    ring = t.ring
+    w = teichmuller(t)
+    ue = ring.make(u if isinstance(u, int) else u.lift())
+    return w ** (chi % ring.residue_order()) * pexp(ue * plog(t * w.inv()))
+
+
+def _random_unit(rng, ring):
+    while True:
+        b = rng.randrange(ring.modulus) if ring.degree == 2 else 0
+        t = ring.make(rng.randrange(ring.modulus), b)
+        if t.is_unit():
+            return t
+
+
+def test_ppow_matches_log_exp_oracle():
+    rng = random.Random(10)
+    for p in (3, 5, 7, 11, 13):
+        for N in (1, 2, 5, 12, 16):
+            ring1 = PadicRing(p, N)
+            for degree in (1, 2):
+                ring = PadicRing(p, N, degree)
+                exponents = (
+                    -rng.randrange(1, 10**9),
+                    rng.randrange(10**9),
+                    ring1.from_int(rng.randrange(ring1.modulus)),
+                )
+                for u in exponents:
+                    t = _random_unit(rng, ring)
+                    chi = rng.randrange(-100, 100)
+                    assert ppow(t, u, chi) == _log_exp_ppow(t, u, chi)
+                with pytest.raises(NonUnitInverse):
+                    ppow(ring.make(p), 1, 1)
+
+
+def test_ppow_p2_domain():
+    rng = random.Random(11)
+    for N in (1, 2, 5, 12, 16):
+        ring = PadicRing(2, N)
+        for _ in range(6):
+            t = ring.from_int(4 * rng.randrange(ring.modulus) + 1)
+            u = 4 * rng.randrange(-10**6, 10**6)
+            chi = 2 * rng.randrange(-50, 50)
+            assert ppow(t, u, chi) == _log_exp_ppow(t, u, chi)
+            assert ppow(t, ring.from_int(u), chi) == ppow(t, u, chi)
+        with pytest.raises(ConvergenceDomain):
+            ppow(ring.one, 4, 1)  # chi odd
+        with pytest.raises(ConvergenceDomain):
+            ppow(ring.one, 6, 0)  # u not in 4Z_2
+        with pytest.raises(ConvergenceDomain):
+            ppow(ring.one, PadicRing(2, 5).from_int(2), 0)
+        if N >= 2:
+            with pytest.raises(ConvergenceDomain):
+                ppow(ring.from_int(3), 4, 0)  # t == 3 mod 4
+
+
+def test_exp_series_past_a_power_of_p():
+    # at p = 3, N = 15 the x^27/27! term still matters although x^26/26!
+    # vanishes: v(27!) = 13 jumps by 3 over v(26!)
+    rng = random.Random(12)
+    for degree in (1, 2):
+        ring = PadicRing(3, 15, degree)
+        for _ in range(10):
+            z = 3 * _random_unit(rng, ring)
+            assert plog(pexp(z)) == z
+            assert pexp(plog(ring.one + z)) == ring.one + z
+
+
 def test_pbinom():
     assert pbinom(5, 2, R74) == R74.from_int(10)
     assert pbinom(R74.from_int(5), 0) == R74.one
