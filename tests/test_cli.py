@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and file plumbing."""
 
+import hashlib
 import json
 
 import pytest
@@ -95,3 +96,26 @@ def test_verify_report_byte_stability(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert "seconds" not in read_json(a)
     assert " s)" in capsys.readouterr().out
+
+
+REPORT_SHA256 = {
+    ("lvalue", "7"): "67eedeea3ac7ab10dd9c89e47e751a2f9d692aec03c2200e1fbea860131d3056",
+    ("aj", "7"): "758e496666596f2d67b2f32249d911ff7a9906992b92f37a7cd1e925b95d12a6",
+    ("lvalue", "11"): "90299d5d7e1114b93c9ee2e18caf0081c8b21e21033ccf4969e599be0feac5d2",
+    ("aj", "11"): "4be9861054c29250c84d291b5e442d687a9a22438f75dfef69bd87e8df0c4460",
+}
+
+
+@pytest.mark.parametrize("command,p", sorted(REPORT_SHA256))
+def test_report_golden_hashes(tmp_path, command, p):
+    # pins the report bytes of both evaluators at inert p = 7 and split
+    # p = 11; B = 21 keeps each run near 0.1 s
+    out = tmp_path / "r.json"
+    if command == "lvalue":
+        head = ["lvalue", "--balanced"]
+    else:
+        head = ["aj", "--inert" if p == "7" else "--split"]
+    args = head + ["--D", "5", "--p", p, "--l", "8,8", "--s", "1",
+                   "--N", "12", "--B", "21", "--out", str(out)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[command, p]
