@@ -276,7 +276,6 @@ def _demo_inputs(args, ell):
 
 def _emit_report(report, out) -> int:
     doc = report.to_dict()
-    doc["version"] = __version__
     if out:
         write_json(out, doc)
         print(f"wrote {out}")

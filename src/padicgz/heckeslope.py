@@ -257,11 +257,11 @@ class SlopeProjection:
     budget: PrecisionBudget
 
 
-def coordinates(basis: ClassicalBasis, gamma: EllipticQExp, residual_depth=None,
-                on_residual="raise"):
+def coordinates(basis: ClassicalBasis, gamma: EllipticQExp, on_residual="raise"):
     """Coordinates of gamma in the basis (ScaledPadic entries, precision
     capped by the basis determinant valuation), with a residual check up
-    to residual_depth (default: full common depth).
+    to the common depth of the basis and gamma.  A nonzero residual raises
+    NotInSpan, or with on_residual='flag' sets in_span to False.
 
     Returns (coords, det_loss, in_span, depth).
     """
@@ -271,8 +271,6 @@ def coordinates(basis: ClassicalBasis, gamma: EllipticQExp, residual_depth=None,
     vec = [gamma.coeff(m) for m in idx]
     coords = _cofactor_solve(rows, det, vec, ring)
     depth = min(basis.depth, gamma.bound)
-    if residual_depth is not None:
-        depth = min(depth, residual_depth)
     in_span = True
     for m in range(depth + 1):
         want = None
@@ -294,7 +292,6 @@ def slope_project(
     gamma: EllipticQExp,
     basis: ClassicalBasis,
     a,
-    residual_depth=None,
     on_residual="raise",
 ) -> SlopeProjection:
     """Projection onto the slope <= a part of the basis span.
@@ -304,9 +301,7 @@ def slope_project(
     makes the result the projection of the span-coordinate part).
     """
     ring = basis.ring
-    coords, det_loss, in_span, depth = coordinates(
-        basis, gamma, residual_depth=residual_depth, on_residual=on_residual
-    )
+    coords, det_loss, in_span, depth = coordinates(basis, gamma, on_residual)
     budget = PrecisionBudget(ring.N)
     if det_loss:
         budget.charge("basis coordinate determinant", det_loss)
@@ -416,21 +411,18 @@ def eigen_pair(
     gamma: EllipticQExp,
     basis: ClassicalBasis,
     block: EigenBlock,
-    root: str = "alpha",
-    residual_depth=None,
     on_residual="raise",
 ):
-    """The isotypic-coordinate functional: the coefficient of the chosen
-    stabilization f_root in gamma, normalized by a_1(f) = 1.
+    """The isotypic-coordinate functional: the coefficient of the
+    stabilization f_alpha = f - beta V f in gamma, normalized by
+    a_1(f) = 1.  The span residual is checked as in `coordinates`.
 
     Returns (value: ScaledPadic, budget, in_span).
     """
     ring = basis.ring
     if block.equal_slopes:
         raise EqualSlopes("cannot separate an equal-slope block")
-    coords, det_loss, in_span, _ = coordinates(
-        basis, gamma, residual_depth=residual_depth, on_residual=on_residual
-    )
+    coords, det_loss, in_span, _ = coordinates(basis, gamma, on_residual)
     cf = coords[block.f_index]
     cvf = coords[block.vf_index]
     budget = PrecisionBudget(ring.N)
@@ -440,8 +432,4 @@ def eigen_pair(
     if sep:
         budget.charge("isotypic separation alpha-beta", sep)
     denom = ScaledPadic(block.alpha - block.beta)
-    if root == "alpha":
-        num = cf * block.alpha + cvf
-    else:
-        num = -(cf * block.beta + cvf)
-    return num / denom, budget, in_span
+    return (cf * block.alpha + cvf) / denom, budget, in_span

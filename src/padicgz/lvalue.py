@@ -32,6 +32,7 @@ from .nearlyoc import (
 from .padic import PadicNum, PadicRing, PrecisionBudget, ScaledPadic
 from .qexp import HilbertQExp, agreement_valuation
 from .heckeslope import ClassicalBasis, EigenBlock, eigen_pair
+from .serialize import basis_fingerprint, digits
 from .weights import WeightCharacter, classify_pair
 
 # ---------------------------------------------------------------------------
@@ -238,15 +239,8 @@ def apply_diag_poly(poly, f: HilbertQExp) -> HilbertQExp:
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary forms: h / h1 / h2, their primitives, and the tau-images
+# Auxiliary forms: h / h1 / h2 and the tau-images
 # ---------------------------------------------------------------------------
-
-
-def _falling(n: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
 
 
 def _echar(ring: PadicRing, k: int) -> WeightCharacter:
@@ -261,6 +255,20 @@ def _hchar(ctx, ints) -> WeightCharacter:
     )
 
 
+def _tau_sum(h: HilbertQExp, ell1: int, s: int, k: int, top: int):
+    """sum_{j=s}^{ell1-2} (-1)^j j! binom(ell1-2-s, j-s)
+        zeta*(d_1^(top-j) h) omega^(k-2-j+s) eta^(j-s) dq/q."""
+    if s < 0 or s > ell1 - 2:
+        raise ConfigError(f"s = {s} outside 0..ell1-2 = {ell1 - 2}")
+    ring = h.ring
+    entries = []
+    for j in range(s, ell1 - 1):
+        coef = (-1) ** j * math.factorial(j) * math.comb(ell1 - 2 - s, j - s)
+        inner = h.d_char(1, top - j).zeta_star().scale(ring.from_int(coef))
+        entries.append((inner, k - 2 - (j - s), j - s, True))
+    return from_omega_eta(entries, _echar(ring, k), ELLIPTIC)
+
+
 def gz_sum(gdep: HilbertQExp, ell1: int, s: int, k: int) -> NearlyOCExpansion:
     """The displayed nearly overconvergent sum
 
@@ -270,72 +278,29 @@ def gz_sum(gdep: HilbertQExp, ell1: int, s: int, k: int) -> NearlyOCExpansion:
     for a fully depleted g.  This is the split-case H' and, verbatim with
     the single inert depletion, the inert-case tau G.
     """
-    if s < 0 or s > ell1 - 2:
-        raise ConfigError(f"s = {s} outside 0..ell1-2 = {ell1 - 2}")
-    ring = gdep.ctx.ring
-    entries = []
-    for j in range(s, ell1 - 1):
-        coef = (-1) ** j * math.factorial(j) * math.comb(ell1 - 2 - s, j - s)
-        inner = gdep.d_char(1, -1 - j).zeta_star().scale(ring.from_int(coef))
-        entries.append((inner, k - 2 - (j - s), j - s, True))
-    return from_omega_eta(entries, _echar(ring, k), ELLIPTIC)
+    return _tau_sum(gdep, ell1, s, k, -1)
 
 
-def tau_image(h: HilbertQExp, ell_i: int, s: int, k: int, i: int = 1):
-    """tau of a primitive built from h in the sigma_i direction:
+def tau_image(h: HilbertQExp, ell1: int, s: int, k: int) -> NearlyOCExpansion:
+    """tau of a primitive built from h in the sigma_1 direction:
 
-        sum_{j=s}^{ell_i-2} (-1)^j j! binom(ell_i-2-s, j-s)
-            zeta*(d_i^(ell_i-2-j) h) omega^(k-2-j+s) eta^(j-s) dq/q.
+        sum_{j=s}^{ell1-2} (-1)^j j! binom(ell1-2-s, j-s)
+            zeta*(d_1^(ell1-2-j) h) omega^(k-2-j+s) eta^(j-s) dq/q.
     """
-    if s > ell_i - 2:
-        raise ConfigError(f"s = {s} outside 0..ell_i-2 = {ell_i - 2}")
-    ring = h.ctx.ring
-    entries = []
-    for j in range(s, ell_i - 1):
-        coef = (-1) ** j * math.factorial(j) * math.comb(ell_i - 2 - s, j - s)
-        inner = h.d_char(i, ell_i - 2 - j).zeta_star().scale(ring.from_int(coef))
-        entries.append((inner, k - 2 - (j - s), j - s, True))
-    return from_omega_eta(entries, _echar(ring, k), ELLIPTIC)
-
-
-def primitive_image(h: HilbertQExp, ell, i: int) -> NearlyOCExpansion:
-    """The explicit nabla-primitive of d_i^(ell_i - 1) h:
-
-        sum_{m=0}^{ell_i-2} (-1)^m (ell_i-2)!/(ell_i-2-m)! d_i^(ell_i-2-m) h
-            * (omega_i^(ell_i-2-m) eta_i^m  x  omega_other^(ell_other-2))
-            * dlog q_other,
-
-    a Hilbert expansion of weight ell - 2 sigma_i."""
-    ell_i = ell[i - 1]
-    ell_o = ell[2 - i]
-    ctx = h.ctx
-    entries = []
-    for m in range(ell_i - 1):
-        coef = (-1) ** m * _falling(ell_i - 2, m)
-        inner = h.d_char(i, ell_i - 2 - m).scale(ctx.ring.from_int(coef))
-        if i == 1:
-            entries.append((inner, (ell_i - 2 - m, ell_o - 2), (m, 0), (False, True)))
-        else:
-            entries.append((inner, (ell_o - 2, ell_i - 2 - m), (0, m), (True, False)))
-    if i == 1:
-        weight = _hchar(ctx, (ell[0] - 2, ell[1]))
-    else:
-        weight = _hchar(ctx, (ell[0], ell[1] - 2))
-    from .nearlyoc import HILBERT
-
-    return from_omega_eta(entries, weight, HILBERT)
+    return _tau_sum(h, ell1, s, k, ell1 - 2)
 
 
 @dataclass
 class SplitPrimitives:
-    """Everything the split-case identities need, assembled and verified."""
+    """The split-case pieces that the identity checks read, assembled and
+    verified by build_split_primitives: h = h_main - h_corr, h1 and h2
+    from the twisted three-piece polynomials poly_A_hat and poly_B_hat,
+    and tau H, the tau-image of h."""
 
     ell: tuple
     s: int
     k: int
     roots: tuple  # (alpha1, beta1, alpha2, beta2)
-    g_p1: HilbertQExp
-    g_p2: HilbertQExp
     g_pp: HilbertQExp
     g1: HilbertQExp  # d_1^(1-ell1) g^[p1]
     g2: HilbertQExp  # d_2^(1-ell2) g^[p2]
@@ -343,18 +308,9 @@ class SplitPrimitives:
     h: HilbertQExp
     h1: HilbertQExp
     h2: HilbertQExp
-    poly_a2: dict
-    poly_b1: dict
-    poly_A: dict
-    poly_B: dict
     poly_A_hat: dict
     poly_B_hat: dict
-    H: NearlyOCExpansion
-    H1: NearlyOCExpansion
-    H2: NearlyOCExpansion
     tau_H: NearlyOCExpansion
-    tau_H1: NearlyOCExpansion
-    tau_H2: NearlyOCExpansion
     h_main: HilbertQExp
     h_corr: HilbertQExp  # u * V_0(p)^2 h_main, so h = h_main - h_corr
 
@@ -387,14 +343,16 @@ def _untwist(poly, splitting, which_embed: int, exponent: int):
 def build_split_primitives(
     g: HilbertQExp, roots, ell, s: int, k: int
 ) -> SplitPrimitives:
-    """Assemble (h, h1, h2), their primitives and tau-images, for a split
-    prime and a T_0-eigenform g with the given Hecke roots.
+    """Assemble (h, h1, h2) and tau H for a split prime and a
+    T_0-eigenform g with the given Hecke roots.
 
     The canonical one-sided splitting is used: g^[p_j] = d_j^(ell_j - 1)
     of an overconvergent form, which is valid because sigma_j is a unit on
     the p_j-coprime support.  The decomposition identity
         P(V_0(p)) g = d_1^(ell1-1) h + d_1^(ell1-1) h1 + d_2^(ell2-1) h2
-    is verified exactly on the effective bound before returning.
+    is verified exactly on the effective bound before returning, after
+    the T_0 eigen check, the P_i(V_i) g = g^[p_i] cross-check and the
+    self-checks of both polynomial decompositions.
     """
     ctx = g.ctx
     ring = ctx.ring
@@ -420,13 +378,13 @@ def build_split_primitives(
                 f"p^(weight-1)"
             )
 
-    g_p1 = g.deplete((1,))
-    g_p2 = g.deplete((2,))
+    dep1 = g.deplete((1,))
+    dep2 = g.deplete((2,))
     g_pp = g.deplete("all")
 
     # cross-check: P_i(V_i) g = g^[p_i]
     for i, (lm, cc, dep) in enumerate(
-        ((lam[0], c[0], g_p1), (lam[1], c[1], g_p2)), start=1
+        ((lam[0], c[0], dep1), (lam[1], c[1], dep2)), start=1
     ):
         poly = {(0, 0): ring.one}
         key1 = (1, 0) if i == 1 else (0, 1)
@@ -437,8 +395,8 @@ def build_split_primitives(
         if agreement_valuation(lhs, dep, min(lhs.bound, dep.bound)) < ring.N:
             raise DecompositionFailed(f"P_{i}(V_{i}) g != g depleted at prime {i}")
 
-    g1 = g_p1.d_char(1, 1 - ell[0])
-    g2 = g_p2.d_char(2, 1 - ell[1])
+    g1 = dep1.d_char(1, 1 - ell[0])
+    g2 = dep2.d_char(2, 1 - ell[1])
 
     # u = c1 c2 / p^(2(ell1 - 1)); equal to 1 in the shipped normalization
     u_scaled = (ScaledPadic(c[0]) * ScaledPadic(c[1])) * ScaledPadic(
@@ -452,12 +410,10 @@ def build_split_primitives(
     h_corr = h_main.v_rational_p().v_rational_p().scale(u_scalar)
     h = h_main - h_corr
 
-    poly_a2, poly_b1 = split_poly_decomp(
-        (lam[0], c[0]), (lam[1], c[1]), ring
-    )
-    _, poly_A, poly_B = split_poly_decomp3((lam[0], c[0]), (lam[1], c[1]), ring)
-    poly_A_hat = _untwist(poly_A, ctx.sp, 1, ell[0] - 1)
-    poly_B_hat = _untwist(poly_B, ctx.sp, 2, ell[1] - 1)
+    split_poly_decomp((lam[0], c[0]), (lam[1], c[1]), ring)  # self-checking
+    _, A, B = split_poly_decomp3((lam[0], c[0]), (lam[1], c[1]), ring)
+    poly_A_hat = _untwist(A, ctx.sp, 1, ell[0] - 1)
+    poly_B_hat = _untwist(B, ctx.sp, 2, ell[1] - 1)
 
     h1 = apply_vpoly(poly_A_hat, g1)
     h2 = apply_vpoly(poly_B_hat, g2)
@@ -472,20 +428,11 @@ def build_split_primitives(
             "P(V_0(p)) g != d^(ell-1) h + d^(ell-1) h1 + d^(ell-1) h2"
         )
 
-    H = primitive_image(h, ell, 1)
-    H1 = primitive_image(h1, ell, 1)
-    H2 = primitive_image(h2, ell, 2)
-    tau_H = tau_image(h, ell[0], s, k, 1)
-    tau_H1 = tau_image(h1, ell[0], s, k, 1)
-    tau_H2 = tau_image(h2, ell[1], s, k, 2)
-
     return SplitPrimitives(
         ell=ell,
         s=s,
         k=k,
         roots=tuple(roots),
-        g_p1=g_p1,
-        g_p2=g_p2,
         g_pp=g_pp,
         g1=g1,
         g2=g2,
@@ -493,25 +440,17 @@ def build_split_primitives(
         h=h,
         h1=h1,
         h2=h2,
-        poly_a2=poly_a2,
-        poly_b1=poly_b1,
-        poly_A=poly_A,
-        poly_B=poly_B,
         poly_A_hat=poly_A_hat,
         poly_B_hat=poly_B_hat,
-        H=H,
-        H1=H1,
-        H2=H2,
-        tau_H=tau_H,
-        tau_H1=tau_H1,
-        tau_H2=tau_H2,
+        tau_H=tau_image(h, ell[0], s, k),
         h_main=h_main,
         h_corr=h_corr,
     )
 
 
 def build_h_prime(g: HilbertQExp, ell, s: int, k: int) -> NearlyOCExpansion:
-    """H' from the fully depleted input (split case)."""
+    """H' from the fully depleted input (split case; build_tau_g reuses it
+    for the inert case)."""
     gdep = g.deplete("all")
     return gz_sum(gdep, ell[0], s, k)
 
@@ -521,8 +460,8 @@ def build_tau_g(g: HilbertQExp, ell, s: int, k: int) -> NearlyOCExpansion:
     with the single inert depletion."""
     if g.ctx.sp.kind != "inert":
         raise ConfigError("build_tau_g needs an inert prime")
-    gdep = g.deplete("all")
-    return gz_sum(gdep, ell[0], s, k)
+    return build_h_prime(g, ell, s, k)
+
 
 # ---------------------------------------------------------------------------
 # Evaluation reports
@@ -537,22 +476,12 @@ def scaled_to_dict(x: Optional[ScaledPadic]) -> Optional[dict]:
             "zero": True,
             "known_mod_p_power": x.exponent + x.prec,
         }
-    m = x.mantissa
-    coords = [m.a] if m.ring.degree == 1 else [m.a, m.b]
     return {
         "zero": False,
-        "mantissa": [_base_p_digits(c, m.ring.p, m.ring.N) for c in coords],
+        "mantissa": digits(x.mantissa),
         "p_power": x.exponent,
         "mantissa_precision": x.prec,
     }
-
-
-def _base_p_digits(n: int, p: int, N: int) -> str:
-    digits = []
-    for _ in range(N):
-        n, r = divmod(n, p)
-        digits.append(str(r))
-    return ",".join(digits)
 
 
 @dataclass
@@ -700,6 +629,24 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, kind: str, config=None):
 # ---------------------------------------------------------------------------
 
 
+def _project_and_pair(noc, k, basis, block, budget, flags):
+    """< H(noc), f* > / < f*, f* > as a ScaledPadic, with the projection
+    and pairing losses absorbed into budget and an out-of-span pairing
+    input flagged.  Returns (value, projection shift)."""
+    proj = oc_project(noc, k)
+    budget.absorb(proj.budget)
+    pair, pair_budget, in_span = eigen_pair(
+        proj.form, basis, block, on_residual="flag"
+    )
+    budget.absorb(pair_budget)
+    if not in_span:
+        flags.append(
+            "pairing input outside the classical span: the value is the "
+            "isotypic coordinate of its span component"
+        )
+    return pair * ScaledPadic(proj.form.ring.one, -proj.shift), proj.shift
+
+
 def lp_balanced(
     g: HilbertQExp,
     basis: ClassicalBasis,
@@ -707,17 +654,17 @@ def lp_balanced(
     ell,
     s: int,
     config=None,
-    slope_bound=None,
 ) -> EvaluationReport:
     """The balanced-weight specialization
 
         < H^(dagger, <= a) (zeta* nabla^(-s-1,0) g^[P]), f* > / < f*, f* >
 
-    realized by the pipeline deplete -> nabla_pow -> diagonal restriction
-    -> overconvergent projection -> isotypic pairing in the classical
-    basis.  The pairing functional is coordinate extraction at the
-    canonical rows; out-of-span residuals are flagged, not fatal, and the
-    report documents them.
+    at the slope bound a = slope of f* (block.slopes[0], recorded in the
+    report config), realized by the pipeline deplete -> nabla_pow ->
+    diagonal restriction -> overconvergent projection -> isotypic pairing
+    in the classical basis.  The pairing functional is coordinate
+    extraction at the canonical rows; out-of-span residuals are flagged,
+    not fatal, and the report documents them.
     """
     config = dict(config or {})
     ell = tuple(ell)
@@ -730,35 +677,15 @@ def lp_balanced(
     if basis.weight != k:
         raise ConfigError(f"basis weight {basis.weight} != k = {k}")
 
-    from .serialize import basis_fingerprint
-
     config.setdefault("basis", basis_fingerprint(basis))
     budget = PrecisionBudget(ring.N)
     gdep = g.deplete("all")
     noc = nabla_pow(gdep, _hchar(ctx, ell), _hchar(ctx, (-s - 1, 0)))
-    znoc = zeta_star_noc(noc)
-    proj = oc_project(znoc, k)
-    budget.absorb(proj.budget)
-
-    a = slope_bound if slope_bound is not None else block.slopes[0]
     flags = []
-    if block.slopes[0] > a:
-        flags.append("fstar slope above the requested bound")
-    pair, pair_budget, in_span = eigen_pair(
-        proj.form, basis, block, on_residual="flag"
+    value, shift = _project_and_pair(
+        zeta_star_noc(noc), k, basis, block, budget, flags
     )
-    budget.absorb(pair_budget)
-    if not in_span:
-        flags.append(
-            "pairing input outside the classical span: the value is the "
-            "isotypic coordinate of its span component"
-        )
-    value = pair * ScaledPadic(ring.one, -proj.shift)
-    notes = [
-        "stabilization eigen data is taken on trust from the supplied basis",
-    ]
-
-    report = EvaluationReport(
+    return EvaluationReport(
         kind="lp-balanced",
         config={
             **config,
@@ -767,17 +694,18 @@ def lp_balanced(
             "k": k,
             "p": ctx.p,
             "N": ring.N,
-            "slope_bound": str(a),
+            "slope_bound": str(block.slopes[0]),
             "splitting": ctx.sp.kind,
         },
         value=value,
         budget=budget,
         effective_precision=budget.effective,
         flags=flags,
-        notes=notes,
+        notes=[
+            "stabilization eigen data is taken on trust from the supplied basis",
+            {"projection_shift": shift},
+        ],
     )
-    report.notes.append({"projection_shift": proj.shift})
-    return report
 
 
 def aj_value(
@@ -789,7 +717,6 @@ def aj_value(
     s: int,
     kind: str,
     config=None,
-    slope_bound=None,
 ) -> EvaluationReport:
     """The Abel-Jacobi value, defined inside this artifact by the
     right-hand sides of the Gross-Zagier-type formulas:
@@ -797,6 +724,8 @@ def aj_value(
         split:  E(f*) (E_0p / E_p) < e^(<=a) H(H'), f* > / < f*, f* >
         inert:  E(f*) (1 / E_p)   < e^(<=a) H(tau G), f* > / < f*, f* >
 
+    at the slope bound a = slope of f* (block.slopes[0], recorded in the
+    report notes).
     The pairing realization is taken at tame level, so the stabilization
     comparison factor E(f*) = 1 - beta*/alpha* is applied explicitly; the
     main-theorem relation against lp_balanced then holds by construction,
@@ -807,8 +736,6 @@ def aj_value(
     ell = tuple(ell)
     k = ell[0] + ell[1] - 2 * (s + 1)
     _classify_or_die(ell, s, k)
-    from .serialize import basis_fingerprint
-
     config.setdefault("basis", basis_fingerprint(basis))
     ctx = g.ctx
     ring = ctx.ring
@@ -852,19 +779,7 @@ def aj_value(
         report.budget = budget
         return report
 
-    proj = oc_project(gz_noc, k)
-    budget.absorb(proj.budget)
-    a = slope_bound if slope_bound is not None else block.slopes[0]
-    pair, pair_budget, in_span = eigen_pair(
-        proj.form, basis, block, on_residual="flag"
-    )
-    budget.absorb(pair_budget)
-    if not in_span:
-        report.flags.append(
-            "pairing input outside the classical span: the value is the "
-            "isotypic coordinate of its span component"
-        )
-    pair = pair * ScaledPadic(ring.one, -proj.shift)
+    pair, shift = _project_and_pair(gz_noc, k, basis, block, budget, report.flags)
     if kind == "split":
         value = euler.e_fstar * (euler.e_0p / euler.e_p) * pair
     else:
@@ -872,7 +787,9 @@ def aj_value(
     report.value = value
     report.budget = budget
     report.effective_precision = budget.effective
-    report.notes.append({"projection_shift": proj.shift, "slope_bound": str(a)})
+    report.notes.append(
+        {"projection_shift": shift, "slope_bound": str(block.slopes[0])}
+    )
     return report
 
 
@@ -929,8 +846,8 @@ def verify_e0p_relation(
     if kappa is None:
         kappa = kappa_empirical(basis, block)
 
-    part0 = oc_project(tau_image(prim.h_main, ell1, s, k, 1), k)
-    corr = oc_project(tau_image(prim.h_corr, ell1, s, k, 1), k)
+    part0 = oc_project(tau_image(prim.h_main, ell1, s, k), k)
+    corr = oc_project(tau_image(prim.h_corr, ell1, s, k), k)
     w2 = corr.form.u().u()  # strip the V_p^2
 
     expect = part0.form.scale(

@@ -56,7 +56,7 @@ class NearlyOCExpansion:
     @property
     def ring(self):
         for c in self.terms.values():
-            return c.ring if self.flavor == ELLIPTIC else c.ctx.ring
+            return c.ring
         return None
 
     def filtration_level(self) -> int:
@@ -133,13 +133,8 @@ def nabla_i(gamma: NearlyOCExpansion, i: int = 1) -> NearlyOCExpansion:
             out[deg] = coeff
 
     for deg, a in gamma.terms.items():
-        if gamma.flavor == HILBERT:
-            da = a.d(i)
-            ring = a.ctx.ring
-        else:
-            da = a.d()
-            ring = a.ring
-        add(deg, da)
+        add(deg, a.d(i) if gamma.flavor == HILBERT else a.d())
+        ring = a.ring
         scalar = ring.embed(weight.u[idx] - ring1.from_int(deg[idx])) * ring.p
         raised = list(deg)
         raised[idx] += 1
@@ -223,7 +218,7 @@ def from_omega_eta(entries, weight: WeightCharacter, flavor=ELLIPTIC):
                     f"omega^{ai} eta^{bi} dlog^{int(di)} does not have weight {ki}"
                 )
         deg = tuple(b)
-        ring = coeff.ring if flavor == ELLIPTIC else coeff.ctx.ring
+        ring = coeff.ring
         term = coeff.scale(ring.from_int(ring.p ** sum(b)))
         out[deg] = term if deg not in out else out[deg] + term
     res = NearlyOCExpansion(flavor, weight, out)
@@ -284,18 +279,13 @@ class OCProjection:
         self.shift = shift
 
 
-def oc_project(
-    gamma: NearlyOCExpansion, k: int = None, v_conjugation: int = 0
-) -> OCProjection:
-    """Overconvergent projection of an elliptic expansion of weight k:
+def oc_project(gamma: NearlyOCExpansion, k: int = None) -> OCProjection:
+    """Overconvergent projection of an elliptic expansion of weight k
+    (default: its classical weight tag):
 
         sum_i (-1)^i d^i(gamma_i) / ((k-2-i+1) ... (k-2)),
 
     where gamma_i is the V-degree-i coefficient with p^i extracted.
-
-    v_conjugation = m computes the projection of an expansion whose
-    coefficients all sit behind a common V^m (so d^i picks up p^(m i))
-    without materializing the index shift.
     """
     if gamma.flavor != ELLIPTIC:
         raise ConfigError("oc_project expects an elliptic expansion")
@@ -347,8 +337,6 @@ def oc_project(
         num = stripped
         for _ in range(i):
             num = num.d()
-        if v_conjugation:
-            num = num.scale(ring.from_int(p ** (v_conjugation * i)))
         den, v = denoms[i]
         unit = ring.from_int((-1) ** i * (den // p**v)).inv()
         term = num.scale(unit * ring.from_int(p ** (shift - v)))

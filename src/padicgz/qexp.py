@@ -64,6 +64,10 @@ class HilbertQExp:
 
     # -- plumbing -------------------------------------------------------
 
+    @property
+    def ring(self):
+        return self.ctx.ring
+
     def _like(self, coeffs, bound=None, weight_tag=None):
         return HilbertQExp(
             self.ctx,
@@ -393,13 +397,6 @@ def agreement_valuation(f, g, bound=None) -> int:
     exactly (N is the 'exact at working precision' sentinel)."""
     diff = f - g
     if bound is not None:
-        if isinstance(diff, EllipticQExp):
-            diff = diff.truncated(min(bound, diff.bound))
-        else:
-            diff = diff._like(
-                {k: v for k, v in diff.coeffs.items() if diff.trace(k) <= bound},
-                bound=min(bound, diff.bound),
-            )
+        diff = diff.truncated(min(bound, diff.bound))
     vals = [v.valuation() for v in diff.coeffs.values()]
-    ring = diff.ring if isinstance(diff, EllipticQExp) else diff.ctx.ring
-    return min(vals) if vals else ring.N
+    return min(vals) if vals else diff.ring.N

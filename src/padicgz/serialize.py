@@ -11,7 +11,7 @@ import json
 
 from .errors import SchemaError
 from .heckeslope import ClassicalBasis, EigenBlock
-from .nearlyoc import ELLIPTIC, NearlyOCExpansion
+from .nearlyoc import NearlyOCExpansion
 from .padic import PadicNum, PadicRing
 from .qexp import EllipticQExp, HilbertQExp, QExpContext
 from .quadfield import make_field, splitting_type
@@ -185,7 +185,7 @@ def noc_from_dict(doc: dict) -> NearlyOCExpansion:
     if not terms:
         raise SchemaError(f"{where}.terms: empty expansion")
     any_form = next(iter(terms.values()))
-    ring = any_form.ring if flavor == ELLIPTIC else any_form.ctx.ring
+    ring = any_form.ring
     wdoc = _require(doc, "weight", where)
     ring1 = PadicRing(ring.p, ring.N, 1)
     u = [

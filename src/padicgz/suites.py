@@ -28,6 +28,7 @@ from .heckeslope import (
     u_matrix,
 )
 from .lvalue import (
+    _hchar,
     aj_value,
     build_split_primitives,
     euler_factors,
@@ -53,12 +54,6 @@ def _result(name, passed, t0, details):
         "seconds": round(time.perf_counter() - t0, 2),
         "details": details,
     }
-
-
-def _hchar(ctx, ints):
-    return WeightCharacter.from_classical(
-        PadicRing(ctx.p, ctx.N, 1), ctx.ring.residue_order(), ints
-    )
 
 
 def _sparse_random(seed, ctx, B, size=25):

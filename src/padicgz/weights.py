@@ -88,7 +88,7 @@ class WeightCharacter:
         return f"WeightCharacter(u={[x.lift() for x in self.u]}, chi={self.chi})"
 
 
-def char_shift(k: WeightCharacter, r: WeightCharacter, op: str, elliptic_torsion=None):
+def char_shift(k: WeightCharacter, r: WeightCharacter, op: str):
     """'add2r': k + 2r per embedding.  'restrict': push down to one embedding
     (u and chi add; chi reduces to the elliptic torsion order p - 1)."""
     if op == "add2r":
@@ -101,12 +101,11 @@ def char_shift(k: WeightCharacter, r: WeightCharacter, op: str, elliptic_torsion
             cls_part = tuple(a + 2 * b for a, b in zip(k.classical, r.classical))
         return WeightCharacter(k.ring1, k.torsion_order, u, chi, cls_part)
     if op == "restrict":
-        if elliptic_torsion is None:
-            elliptic_torsion = k.ring1.p - 1
+        torsion = k.ring1.p - 1
         u = (sum(k.u[1:], k.u[0]),)
-        chi = (sum(k.chi) % elliptic_torsion,)
+        chi = (sum(k.chi) % torsion,)
         cls_part = (sum(k.classical),) if k.classical is not None else None
-        return WeightCharacter(k.ring1, elliptic_torsion, u, chi, cls_part)
+        return WeightCharacter(k.ring1, torsion, u, chi, cls_part)
     raise ConfigError(f"unknown char_shift op {op!r}")
 
 

@@ -104,8 +104,10 @@ def test_build_split_primitives_verifies():
     p = PRIM
     assert p.u_scalar == R11.one
     assert not p.h.is_zero() and not p.h1.is_zero() and not p.h2.is_zero()
-    # h1 support misses p_1 entirely, shifted into p_2
-    assert p.h1.deplete((1,)) == p.h1 or True  # support may meet p1 via V-power
+    # every monomial of poly_A_hat carries V_2 and every monomial of
+    # poly_B_hat carries V_1, so h1 lives on p_2 and h2 on p_1
+    assert p.h1.deplete((2,)).is_zero()
+    assert p.h2.deplete((1,)).is_zero()
     # tau H's j = s term matches the leading H' term
     hp = build_h_prime(E88_11, (8, 8), 1, 12)
     lead_tau = p.tau_H.term(0)
@@ -143,6 +145,14 @@ def test_eigen_failure_detected():
     bad.coeffs[(0, 1)] = R11.from_int(999)
     with pytest.raises(Exception):
         build_split_primitives(bad, ROOTS_11, (8, 8), 1, 12)
+
+
+def test_split_primitives_s_range_guard():
+    # a negative s reaches the tau-sum after every check has passed; it
+    # must raise the named configuration error, not a bare ValueError
+    g = hilbert_eisenstein(8, CTX11, 20)
+    with pytest.raises(ConfigError):
+        build_split_primitives(g, ROOTS_11, (8, 8), -1, 12)
 
 
 def test_verify_gz_inert():
