@@ -253,7 +253,6 @@ class SlopeProjection:
     form: Optional[EllipticQExp]  # p^shift times the true projection
     shift: int
     in_span: bool
-    residual_depth: int
     budget: PrecisionBudget
 
 
@@ -263,7 +262,7 @@ def coordinates(basis: ClassicalBasis, gamma: EllipticQExp, on_residual="raise")
     to the common depth of the basis and gamma.  A nonzero residual raises
     NotInSpan, or with on_residual='flag' sets in_span to False.
 
-    Returns (coords, det_loss, in_span, depth).
+    Returns (coords, det_loss, in_span).
     """
     ring = basis.ring
     idx, rows, det = canonical_rows(basis)
@@ -285,7 +284,7 @@ def coordinates(basis: ClassicalBasis, gamma: EllipticQExp, on_residual="raise")
                     "small for this input"
                 )
             break
-    return coords, det_loss, in_span, depth
+    return coords, det_loss, in_span
 
 
 def slope_project(
@@ -301,7 +300,7 @@ def slope_project(
     makes the result the projection of the span-coordinate part).
     """
     ring = basis.ring
-    coords, det_loss, in_span, depth = coordinates(basis, gamma, on_residual)
+    coords, det_loss, in_span = coordinates(basis, gamma, on_residual)
     budget = PrecisionBudget(ring.N)
     if det_loss:
         budget.charge("basis coordinate determinant", det_loss)
@@ -340,7 +339,7 @@ def slope_project(
         form = contrib if form is None else form + contrib
     if form is None:
         form = EllipticQExp(ring, basis.depth)
-    return SlopeProjection(coords, kept, form, shift, in_span, depth, budget)
+    return SlopeProjection(coords, kept, form, shift, in_span, budget)
 
 
 @dataclass
@@ -422,7 +421,7 @@ def eigen_pair(
     ring = basis.ring
     if block.equal_slopes:
         raise EqualSlopes("cannot separate an equal-slope block")
-    coords, det_loss, in_span, _ = coordinates(basis, gamma, on_residual)
+    coords, det_loss, in_span = coordinates(basis, gamma, on_residual)
     cf = coords[block.f_index]
     cvf = coords[block.vf_index]
     budget = PrecisionBudget(ring.N)

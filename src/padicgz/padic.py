@@ -9,9 +9,10 @@ the residue-field extension with X^(p^2-1) = 1.
 All operations are exact modulo p^N.  The log and exp series (`plog`,
 `pexp`) are evaluated with internal guard digits so the returned
 truncation is correct to the full working precision.  p-adic powers
-(`ppow`) are one modular power and use neither series; `teichmuller`,
-`plog` and `pexp` stay as the series definition that the tests check
-`ppow` against.
+(`ppow`) are one modular power and use neither series.  Integer powers
+run on int pairs (`pair_pow`) and build one element at the end.
+`teichmuller`, `plog` and `pexp` stay as the series definition that the
+tests check `ppow` against.
 """
 
 from __future__ import annotations
@@ -231,16 +232,7 @@ class PadicNum:
         return PadicNum(self.ring, self.a * ninv % m, (-self.b) * ninv % m)
 
     def __pow__(self, e: int) -> "PadicNum":
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return PadicNum(self.ring, *pair_pow(self.ring, self.a, self.b, e))
 
     def frobenius(self) -> "PadicNum":
         """Ring Frobenius; the identity on the degree-1 ring."""
@@ -268,6 +260,33 @@ class PadicNum:
         if self.a % pv or self.b % pv:
             raise NonUnitInverse(f"{self!r} is not divisible by p^{v}")
         return PadicNum(self.ring, self.a // pv, self.b // pv)
+
+
+def pair_pow(ring: PadicRing, a: int, b: int, e: int, ca: int = 1, cb: int = 0):
+    """(ca + cb*X) * (a + b*X)^e on reduced coordinates, as a pair of ints.
+
+    With b = 0 (always on the degree-1 ring) this is one builtin modular
+    power; otherwise square-and-multiply on int pairs with X^2 equal to
+    `ring.nonresidue`, a negative e first inverting through the norm.
+    Raises NonUnitInverse for a negative power of a non-unit.
+    """
+    m, p = ring.modulus, ring.p
+    if e < 0 and a % p == 0 and b % p == 0:
+        raise NonUnitInverse(f"negative power {e} of a non-unit")
+    if not b:
+        x = pow(a, e, m)
+        return ca * x % m, cb * x % m
+    c = ring.nonresidue
+    if e < 0:
+        ninv = pow((a * a - b * b % m * c) % m, -1, m)
+        a, b, e = a * ninv % m, -b * ninv % m, -e
+    while True:
+        if e & 1:
+            ca, cb = (ca * a + cb * b % m * c) % m, (ca * b + cb * a) % m
+        e >>= 1
+        if not e:
+            return ca, cb
+        a, b = (a * a + b * b % m * c) % m, 2 * a * b % m
 
 
 def teichmuller(x: PadicNum) -> PadicNum:
@@ -393,8 +412,6 @@ def ppow(t: PadicNum, u, chi: int) -> PadicNum:
     order, pk = ring.residue_order(), ring.p ** (ring.N - 1)
     c = chi % order
     e = c + order * ((uval - c) * pow(order, -1, pk) % pk)
-    if ring.degree == 1:
-        return ring.make(pow(t.a, e, ring.modulus))
     return t**e
 
 

@@ -11,7 +11,7 @@ shrink the declared bound conservatively, V-type operators grow it.
 from __future__ import annotations
 
 from .errors import ConfigError, IndexMismatch, NonUnitIndex
-from .padic import PadicNum, ppow
+from .padic import PadicNum, pair_pow, ppow
 from .quadfield import SUPPORT_DINV, SUPPORT_OL, key_trace
 from .weights import WeightCharacter
 
@@ -165,6 +165,7 @@ class HilbertQExp:
         unit indices throughout, i.e. a suitably depleted input).
         """
         sp = self.ctx.sp
+        ring = self.ring
         out = {}
         if isinstance(exponent, int):
             for k, v in self.coeffs.items():
@@ -174,7 +175,7 @@ class HilbertQExp:
                         f"d^({exponent}) at index {k}: sigma_{i} not a unit "
                         "(input not depleted)"
                     )
-                out[k] = v * s**exponent
+                out[k] = PadicNum(ring, *pair_pow(ring, s.a, s.b, exponent, v.a, v.b))
             return self._like(out)
         if not isinstance(exponent, WeightCharacter) or exponent.arity != 1:
             raise ConfigError("exponent must be an int or 1-component character")
@@ -340,19 +341,24 @@ class EllipticQExp:
         return self._like({n: v * n for n, v in self.coeffs.items()})
 
     def d_char(self, exponent):
+        """n^exponent on coefficients; exponent as in HilbertQExp.d_char."""
+        ring = self.ring
         out = {}
         if isinstance(exponent, int):
             for n, v in self.coeffs.items():
-                base = self.ring.make(n)
-                if exponent < 0 and not base.is_unit():
+                if exponent < 0 and n % ring.p == 0:
                     raise NonUnitIndex(f"d^({exponent}) at non-unit index {n}")
-                out[n] = v * base**exponent
+                out[n] = PadicNum(
+                    ring, *pair_pow(ring, n % ring.modulus, 0, exponent, v.a, v.b)
+                )
             return self._like(out)
+        if not isinstance(exponent, WeightCharacter) or exponent.arity != 1:
+            raise ConfigError("exponent must be an int or 1-component character")
         if exponent.classical is not None:
             return self.d_char(exponent.classical[0])
         u, chi = exponent.u[0], exponent.chi[0]
         for n, v in self.coeffs.items():
-            base = self.ring.make(n)
+            base = ring.make(n)
             if not base.is_unit():
                 raise NonUnitIndex(f"d-power at non-unit index {n}")
             out[n] = v * ppow(base, u, chi)

@@ -178,7 +178,7 @@ def test_not_in_span():
     junk = random_elliptic(7, R, B)
     with pytest.raises(NotInSpan):
         coordinates(basis, junk)
-    coords, _, in_span, _ = coordinates(basis, junk, on_residual="flag")
+    coords, _, in_span = coordinates(basis, junk, on_residual="flag")
     assert not in_span
 
 

@@ -180,6 +180,44 @@ def _random_unit(rng, ring):
             return t
 
 
+def _power_by_products(t, e):
+    """t^e as |e| repeated products of t, or of t.inv() when e < 0."""
+    base = t if e >= 0 else t.inv()
+    out = t.ring.one
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+def test_pow_matches_repeated_products():
+    rng = random.Random(14)
+    for p in (3, 5, 7, 11, 13):
+        for N in (1, 2, 12):
+            for degree in (1, 2):
+                ring = PadicRing(p, N, degree)
+                m = ring.modulus
+                units = [_random_unit(rng, ring), ring.make(rng.randrange(1, p))]
+                if degree == 2:
+                    units.append(ring.make(0, rng.randrange(1, p)))
+                nonunits = [ring.zero, ring.make(p * rng.randrange(m))]
+                if degree == 2:
+                    nonunits.append(ring.make(p, p * rng.randrange(m)))
+                for t in units + nonunits:
+                    assert t**0 == ring.one
+                    for e in range(-12, 13):
+                        if e < 0 and t in nonunits:
+                            with pytest.raises(NonUnitInverse):
+                                t**e
+                        else:
+                            assert t**e == _power_by_products(t, e)
+                for t in units:
+                    for _ in range(3):
+                        e1 = rng.getrandbits(40) * rng.choice((1, -1))
+                        e2 = rng.getrandbits(40) * rng.choice((1, -1))
+                        assert t ** (e1 + e2) == t**e1 * t**e2
+                        assert t**e1 * t ** (-e1) == ring.one
+
+
 def test_ppow_matches_log_exp_oracle():
     rng = random.Random(10)
     for p in (3, 5, 7, 11, 13):

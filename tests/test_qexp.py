@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from padicgz.errors import IndexMismatch, NonUnitIndex
+from padicgz.errors import ConfigError, IndexMismatch, NonUnitIndex
 from padicgz.formgen import (
     elliptic_eisenstein,
     hilbert_eisenstein,
@@ -74,6 +74,51 @@ def test_d_char_integer_matches_iteration():
         assert f.d_char(1, 3) == f.d(1).d(1).d(1)
         assert f.d_char(1, 0) == f
         assert f.d_char(1, -1).d_char(1, 1) == f
+
+
+def _power_by_products(t, e):
+    base = t if e >= 0 else t.inv()
+    out = t.ring.one
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+def test_d_char_integer_matches_repeated_products():
+    # d^(-1-s-j) in nabla_pow and gz_sum, and positive powers up to 10
+    exponents = [e for e in range(-10, 11) if e]
+    for ctx in contexts():
+        f = random_depleted(35, ctx, 6)
+        for i in (1, 2):
+            for e in exponents:
+                g = f.d_char(i, e)
+                for k, v in f.coeffs.items():
+                    s = ctx.sp.sigma(k, i, f.support)
+                    assert g.coeff(k) == v * _power_by_products(s, e)
+                assert g.d_char(i, -e) == f
+    rng = random.Random(36)
+    for ring in (PadicRing(7, 8, 2), PadicRing(11, 8)):
+        coeffs = {}
+        for n in range(1, 31):
+            if n % ring.p:
+                b = rng.randrange(ring.modulus) if ring.degree == 2 else 0
+                coeffs[n] = ring.make(rng.randrange(ring.modulus), b)
+        f = EllipticQExp(ring, 30, coeffs)
+        for e in exponents:
+            g = f.d_char(e)
+            for n, v in f.coeffs.items():
+                assert g.coeff(n) == v * _power_by_products(ring.from_int(n), e)
+            assert g.d_char(-e) == f
+
+
+def test_d_char_rejects_other_exponents():
+    f = random_depleted(37, CTX11, 6)
+    phi = f.zeta_star()
+    for bad in (1.5, None):
+        with pytest.raises(ConfigError):
+            f.d_char(1, bad)
+        with pytest.raises(ConfigError):
+            phi.d_char(bad)
 
 
 def test_d_char_character_route_matches_integer():
