@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from padicgz.errors import ConfigError, IndexMismatch, NonUnitIndex
+from padicgz.errors import ConfigError, ConvergenceDomain, IndexMismatch, NonUnitIndex
 from padicgz.formgen import (
     elliptic_eisenstein,
     hilbert_eisenstein,
     random_depleted,
     random_form,
 )
-from padicgz.padic import PadicRing
+from padicgz.padic import PadicRing, ppow
 from padicgz.qexp import EllipticQExp, HilbertQExp, QExpContext, agreement_valuation
 from padicgz.quadfield import SUPPORT_DINV, SUPPORT_OL, make_field, splitting_type
 from padicgz.weights import WeightCharacter
@@ -48,13 +48,15 @@ def test_mul_commutative_associative():
 
 
 def test_d_embedding_value():
-    # sigma_1(phi) = (1+4)/2 = 8 mod 11
+    # sigma_1(phi) = (1+4)/2 = 8 mod 11; the index of phi is its numerator
+    # phi * sqrt(5) = phi + 2, the key (2, 1)
     ctx = QExpContext(L, splitting_type(L, 11, 1))
-    f = HilbertQExp(ctx, SUPPORT_OL, 4, {(0, 1): ctx.ring.one})
-    assert f.d(1).coeffs[(0, 1)] == ctx.ring.from_int(8)
-    assert (CTX11.sp.sigma((0, 1), 1) - CTX11.ring.from_int(8)).valuation() >= 1
+    f = HilbertQExp(ctx, SUPPORT_DINV, 4, {(2, 1): ctx.ring.one})
+    assert f.d(1).coeffs[(2, 1)] == ctx.ring.from_int(8)
+    phi = CTX11.sp.sigma((2, 1), 1, SUPPORT_DINV)
+    assert (phi - CTX11.ring.from_int(8)).valuation() >= 1
     # constant term dies
-    c = HilbertQExp(CTX11, SUPPORT_OL, 4, {(0, 0): CTX11.ring.from_int(3)})
+    c = HilbertQExp(CTX11, SUPPORT_DINV, 4, {(0, 0): CTX11.ring.from_int(3)})
     assert c.d(1).is_zero()
 
 
@@ -131,6 +133,72 @@ def test_d_char_character_route_matches_integer():
                 ring1, order, (ring1.from_int(m),), (m,), None
             )
             assert f.d_char(1, ch) == f.d_char(1, m)
+
+
+def _analytic_chars(ring, p):
+    # u = -2 + (p - 1) p^m: p-adically close to the classical -2, never equal
+    ring1 = PadicRing(p, ring.N, 1)
+    order = ring.residue_order()
+    for m in range(4):
+        u = ring1.from_int(-2 + (p - 1) * p**m)
+        yield u, WeightCharacter(ring1, order, (u,), (-2,))
+
+
+def test_d_char_character_matches_ppow():
+    # ppow is the oracle here; it is itself checked against log/exp
+    for ctx in contexts():
+        f = random_depleted(38, ctx, 8)
+        for u, ch in _analytic_chars(ctx.ring, ctx.p):
+            for i in (1, 2):
+                g = f.d_char(i, ch)
+                assert set(g.coeffs) == set(f.coeffs)
+                for k, v in f.coeffs.items():
+                    s = ctx.sp.sigma(k, i, f.support)
+                    assert g.coeff(k) == v * ppow(s, u, ch.chi[0])
+        with pytest.raises(NonUnitIndex):
+            random_form(39, ctx, 8).d_char(1, ch)
+        bad = WeightCharacter(
+            PadicRing(ctx.p, ctx.N - 2, 1), ch.torsion_order,
+            (PadicRing(ctx.p, ctx.N - 2, 1).from_int(3),), (3,),
+        )
+        with pytest.raises(ConfigError):
+            f.d_char(1, bad)
+    rng = random.Random(40)
+    for ring in (PadicRing(11, 8), PadicRing(7, 8, 2)):
+        coeffs = {}
+        for n in range(1, 31):
+            b = rng.randrange(ring.modulus) if ring.degree == 2 else 0
+            coeffs[n] = ring.make(rng.randrange(ring.modulus), b)
+        f = EllipticQExp(ring, 30, coeffs)
+        dep = f.deplete()
+        for u, ch in _analytic_chars(ring, ring.p):
+            g = dep.d_char(ch)
+            assert set(g.coeffs) == set(dep.coeffs)
+            for n, v in dep.coeffs.items():
+                assert g.coeff(n) == v * ppow(ring.make(n), u, ch.chi[0])
+        with pytest.raises(NonUnitIndex):
+            f.d_char(ch)
+        other = PadicRing(5, ring.N, 1)
+        with pytest.raises(ConfigError):
+            dep.d_char(WeightCharacter(other, 4, (other.from_int(2),), (2,)))
+
+
+def test_d_char_character_p2_domain():
+    # at p = 2 only t == 1 mod 4, chi even and u in 4Z_2 are defined
+    ring = PadicRing(2, 10)
+    good = EllipticQExp(ring, 30, {n: ring.from_int(n + 2) for n in range(1, 31, 4)})
+    for uval in (4, -8, 12 + 2**7):
+        u = ring.from_int(uval)
+        ch = WeightCharacter(ring, 1, (u,), (0,))
+        g = good.d_char(ch)
+        for n, v in good.coeffs.items():
+            assert g.coeff(n) == v * ppow(ring.make(n), u, 0)
+    with pytest.raises(ConvergenceDomain):
+        EllipticQExp(ring, 30, {3: ring.one}).d_char(ch)
+    with pytest.raises(ConvergenceDomain):
+        good.d_char(WeightCharacter(ring, 1, (ring.from_int(6),), (0,)))
+    with pytest.raises(NonUnitIndex):
+        EllipticQExp(ring, 30, {2: ring.one}).d_char(ch)
 
 
 def test_d_char_requires_depletion():

@@ -96,26 +96,32 @@ def test_tot_pos_enum_ol():
 
 
 def test_enum_counts_match_direct_scan():
-    # exhaustive double check against a brute-force grid
-    L = make_field(13)
+    # exhaustive double check against a brute-force grid: key (a, b) is
+    # x = (a + b*phi)/sqrt(D), and D*x = (a + b*phi)*sqrt(D) with
+    # sqrt(D) = 2*phi - 1, so x is totally positive of trace b exactly
+    # when that product is totally positive of trace D*b
     B = 8
-    keys = set(tot_pos_enum(L, SUPPORT_OL, B)) - {(0, 0)}
-    brute = set()
-    for a in range(-60, 61):
-        for b in range(-60, 61):
-            if (a, b) == (0, 0):
-                continue
-            if L.is_totally_positive((a, b)) and L.trace((a, b)) <= B:
-                brute.add((a, b))
-    assert keys == brute
+    for D in (5, 13):
+        L = make_field(D)
+        keys = tot_pos_enum(L, SUPPORT_DINV, B)
+        assert keys[0] == (0, 0)
+        brute = set()
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                y = L.mul((a, b), (-1, 2))
+                if L.is_totally_positive(y) and L.trace(y) <= D * B:
+                    assert L.trace(y) == D * b
+                    brute.add((a, b))
+        assert set(keys) - {(0, 0)} == brute
+        assert len(keys) == len(brute) + 1
 
 
 def test_ideal_divisors():
     L = make_field(5)
     # beta = phi/sqrt(5): (beta)*different = (phi), a unit ideal
     assert ideal_divisors(L, (0, 1), SUPPORT_DINV) == [((), 1)]
-    # beta = 1 in O_L: (1)*different = (sqrt 5), norms {1, 5}
-    divs = ideal_divisors(L, (1, 0), SUPPORT_OL)
+    # beta = 1: numerator sqrt(5) = 2*phi - 1, divisors of (sqrt 5): norms {1, 5}
+    divs = ideal_divisors(L, (-1, 2), SUPPORT_DINV)
     assert [n for _, n in divs] == [1, 5]
     # units do not change divisor lists: phi * x vs x
     x = (3, 1)
@@ -137,7 +143,8 @@ def test_ideal_divisors_multiplicative():
 def test_divisor_sum_sigma():
     # sum of norms over divisors of (beta) * different for a rational beta
     L = make_field(5)
-    divs = ideal_divisors(L, (2, 0), SUPPORT_OL)  # (2 sqrt 5): norm 20
+    # beta = 2: numerator 2 sqrt(5) = (-2, 4), norm 20
+    divs = ideal_divisors(L, (-2, 4), SUPPORT_DINV)
     total = sum(n for _, n in divs)
     # divisors: 1, (2) norm 4, (sqrt5) norm 5, (2 sqrt5) norm 20
     assert total == 1 + 4 + 5 + 20
