@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import BadPrime, ConfigError, NotEigenform, SingularCurve
 from .padic import PadicRing
 from .qexp import EllipticQExp, HilbertQExp, QExpContext
-from .quadfield import SUPPORT_DINV, ideal_divisors, tot_pos_enum
+from .quadfield import SUPPORT_DINV, factorize, ideal_divisors, tot_pos_enum
 
 
 def _bernoulli(k: int) -> Fraction:
@@ -116,7 +116,7 @@ def pointcount_newform(ainvs, B: int, ring: PadicRing) -> EllipticQExp:
     data = _SUPPORTED_CURVES[ainvs]
     a = {1: 1}
     for ell in range(2, B + 1):
-        if any(ell % q == 0 for q in range(2, ell)):
+        if factorize(ell) != [(ell, 1)]:
             continue
         if ell in data["bad_ap"]:
             ap = data["bad_ap"][ell]
@@ -136,7 +136,7 @@ def pointcount_newform(ainvs, B: int, ring: PadicRing) -> EllipticQExp:
         if n in a:
             continue
         m = 1
-        for ell, e in _factorize(n):
+        for ell, e in factorize(n):
             m *= a[ell**e]
         a[n] = m
     return EllipticQExp(
@@ -144,25 +144,7 @@ def pointcount_newform(ainvs, B: int, ring: PadicRing) -> EllipticQExp:
     )
 
 
-def _factorize(n: int):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            out.append((q, e))
-        q += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def hilbert_eisenstein(
-    k: int, ctx: QExpContext, B: int, support: str = SUPPORT_DINV
-) -> HilbertQExp:
+def hilbert_eisenstein(k: int, ctx: QExpContext, B: int) -> HilbertQExp:
     """Parallel-weight Eisenstein stream a_beta = sum over ideal divisors
     of (beta)*different of N^(k-1); constant term 0.
 
@@ -176,14 +158,14 @@ def hilbert_eisenstein(
         raise ConfigError("hilbert Eisenstein needs k >= 2")
     ring = ctx.ring
     coeffs = {}
-    for key in tot_pos_enum(ctx.field, support, B):
+    for key in tot_pos_enum(ctx.field, SUPPORT_DINV, B):
         if key == (0, 0):
             continue
         total = 0
-        for _, norm in ideal_divisors(ctx.field, key, support):
+        for _, norm in ideal_divisors(ctx.field, key):
             total += norm ** (k - 1)
         coeffs[key] = ring.from_int(total)
-    out = HilbertQExp(ctx, support, B, coeffs, weight_tag=(k, k))
+    out = HilbertQExp(ctx, SUPPORT_DINV, B, coeffs, weight_tag=(k, k))
     _eisenstein_self_check(out, k)
     return out
 
@@ -202,34 +184,34 @@ def _eisenstein_self_check(E: HilbertQExp, k: int):
             raise NotEigenform(f"Eisenstein eigen self-check failed at {key}")
 
 
-def random_depleted(seed: int, ctx: QExpContext, B: int, support=SUPPORT_DINV):
+def random_depleted(seed: int, ctx: QExpContext, B: int):
     """Pseudorandom unit coefficients on the p-coprime indices only."""
     rng = random.Random(seed)
     ring = ctx.ring
     coeffs = {}
-    for key in tot_pos_enum(ctx.field, support, B):
+    for key in tot_pos_enum(ctx.field, SUPPORT_DINV, B):
         if key == (0, 0):
             continue
-        if any(ctx.sp.in_prime(key, i, support) for i in ctx.primes_above_p()):
+        if any(ctx.sp.in_prime(key, i) for i in ctx.primes_above_p()):
             continue
         a = rng.randrange(ring.modulus)
         if a % ring.p == 0:
             a += 1  # force a unit first coordinate
         b = rng.randrange(ring.modulus) if ring.degree == 2 else 0
         coeffs[key] = ring.make(a, b)
-    return HilbertQExp(ctx, support, B, coeffs)
+    return HilbertQExp(ctx, SUPPORT_DINV, B, coeffs)
 
 
-def random_form(seed: int, ctx: QExpContext, B: int, support=SUPPORT_DINV):
+def random_form(seed: int, ctx: QExpContext, B: int):
     """Pseudorandom coefficients on the full index set (constant included)."""
     rng = random.Random(seed)
     ring = ctx.ring
     coeffs = {}
-    for key in tot_pos_enum(ctx.field, support, B):
+    for key in tot_pos_enum(ctx.field, SUPPORT_DINV, B):
         a = rng.randrange(ring.modulus)
         b = rng.randrange(ring.modulus) if ring.degree == 2 else 0
         coeffs[key] = ring.make(a, b)
-    return HilbertQExp(ctx, support, B, coeffs)
+    return HilbertQExp(ctx, SUPPORT_DINV, B, coeffs)
 
 
 def random_elliptic(seed: int, ring: PadicRing, B: int) -> EllipticQExp:

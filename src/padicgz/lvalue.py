@@ -25,7 +25,6 @@ from .nearlyoc import (
     NearlyOCExpansion,
     from_omega_eta,
     nabla_pow,
-    noc_agreement,
     oc_project,
     zeta_star_noc,
 )
@@ -318,8 +317,8 @@ class SplitPrimitives:
 def _untwist(poly, splitting, which_embed: int, exponent: int):
     """Divide the (x, y) coefficient by sigma(pi_1)^(x e) sigma(pi_2)^(y e)
     for sigma = sigma_which; exact p-power division or error."""
-    s1 = splitting.sigma(splitting.pi1, which_embed)
-    s2 = splitting.sigma(splitting.pi2, which_embed)
+    s1 = splitting.embed(splitting.pi1, which_embed)
+    s2 = splitting.embed(splitting.pi2, which_embed)
     # one of the two embeddings has valuation 1, the other is a unit
     out = {}
     for (x, y), coef in poly.items():
@@ -570,7 +569,6 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, kind: str, config=None):
     else:
         raise ConfigError(f"unknown kind {kind!r}")
 
-    pre_agreement = noc_agreement(lhs_noc, rhs_noc)
     table = []
     for deg in sorted(set(lhs_noc.degrees()) | set(rhs_noc.degrees())):
         a = lhs_noc.terms.get(deg)
@@ -582,6 +580,7 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, kind: str, config=None):
         else:
             val = agreement_valuation(a, b, min(a.bound, b.bound))
         table.append({"v_degree": deg[0], "agreement": val})
+    pre_agreement = min((row["agreement"] for row in table), default=ring.N)
 
     report = EvaluationReport(
         kind=f"gz-{kind}",

@@ -9,8 +9,9 @@ the residue-field extension with X^(p^2-1) = 1.
 All operations are exact modulo p^N.  The log and exp series (`plog`,
 `pexp`) are evaluated with internal guard digits so the returned
 truncation is correct to the full working precision.  p-adic powers
-(`ppow`) are one modular power and use neither series.  Integer powers
-run on int pairs (`pair_pow`) and build one element at the end.
+(`ppow`) are one modular power to the integer exponent `char_exponent`
+and use neither series.  Integer powers run on int pairs (`pair_pow`)
+and build one element at the end.
 `teichmuller`, `plog` and `pexp` stay as the series definition that the
 tests check `ppow` against.
 """
@@ -385,33 +386,42 @@ def pexp(x: PadicNum) -> PadicNum:
     return acc.truncate(ring)
 
 
-def ppow(t: PadicNum, u, chi: int) -> PadicNum:
-    """t^k for the character k with finite part chi and analytic exponent u.
+def char_exponent(ring: PadicRing, u, chi: int) -> int:
+    """The integer E >= 0 with t^E = t^k for every unit t of ring, where k
+    is the character with finite part chi and analytic exponent u.
 
-    Equal to omega(t)^chi * exp(u * log(t / omega(t))), computed as one
-    power t^E with E == chi mod p^f - 1 and E == u mod p^(N-1).  That is
-    exact: the 1-units mod p^N have exponent dividing p^(N-1), which is
-    prime to p^f - 1, the order of the Teichmueller part.  For an integer
-    u with chi == u mod p^f - 1 this is t^u.  u may be an int or a
-    degree-1 PadicNum.
-
-    At p = 2 only the corner with chi even, u in 4Z_2 and t == 1 mod 4 is
-    defined (there log converges on t itself); elsewhere ConvergenceDomain.
+    E is the CRT lift of E == chi mod p^f - 1 and E == u mod p^(N-1).
+    That is exact: the 1-units mod p^N have exponent dividing p^(N-1),
+    which is prime to p^f - 1, the order of the Teichmueller part.  u may
+    be an int or a degree-1 PadicNum (ConfigError if it comes from another
+    prime or a lower precision).  At p = 2 the character must have chi
+    even and u in 4Z_2; elsewhere ConvergenceDomain.
     """
-    ring = t.ring
-    if not t.is_unit():
-        raise NonUnitInverse("ppow requires a unit base")
     uval = u if isinstance(u, int) else u.lift()
-    if ring.p == 2:
-        if chi % 2 != 0 or uval % 4 != 0:
-            raise ConvergenceDomain("p = 2 requires chi even and u in 4Z_2")
-        if t.a % 4 == 3:
-            raise ConvergenceDomain("p = 2 requires t == 1 mod 4")
+    if ring.p == 2 and (chi % 2 != 0 or uval % 4 != 0):
+        raise ConvergenceDomain("p = 2 requires chi even and u in 4Z_2")
     if not isinstance(u, int):
         ring.embed(u)  # ConfigError for u from another prime or lower precision
     order, pk = ring.residue_order(), ring.p ** (ring.N - 1)
     c = chi % order
-    e = c + order * ((uval - c) * pow(order, -1, pk) % pk)
+    return c + order * ((uval - c) * pow(order, -1, pk) % pk)
+
+
+def ppow(t: PadicNum, u, chi: int) -> PadicNum:
+    """t^k for the character k with finite part chi and analytic exponent u.
+
+    Equal to omega(t)^chi * exp(u * log(t / omega(t))), computed as one
+    power t^E with E = char_exponent(t.ring, u, chi).  For an integer u
+    with chi == u mod p^f - 1 this is t^u.
+
+    At p = 2 only the corner with chi even, u in 4Z_2 and t == 1 mod 4 is
+    defined (there log converges on t itself); elsewhere ConvergenceDomain.
+    """
+    if not t.is_unit():
+        raise NonUnitInverse("ppow requires a unit base")
+    e = char_exponent(t.ring, u, chi)
+    if t.ring.p == 2 and t.a % 4 == 3:
+        raise ConvergenceDomain("p = 2 requires t == 1 mod 4")
     return t**e
 
 

@@ -3,16 +3,19 @@ elliptic over Q, with the index derivations d_i, depletion, the U/V/T
 operators at p, and diagonal restriction.
 
 Coefficients are sparse maps from index keys to p-adic numbers; absent
-keys are zero.  Every expansion carries an explicit trace bound and no
-operation reads a coefficient beyond a certified bound: U-type operators
-shrink the declared bound conservatively, V-type operators grow it.
+keys are zero.  Hilbert indices have one convention ('dinv', see
+`quadfield`): the key (a, b) is the element (a + b*phi)/sqrt(D) of the
+inverse different, of trace b.  Every expansion carries an explicit
+trace bound and no operation reads a coefficient beyond a certified
+bound: U-type operators shrink the declared bound conservatively, V-type
+operators grow it.
 """
 
 from __future__ import annotations
 
-from .errors import ConfigError, IndexMismatch, NonUnitIndex
-from .padic import PadicNum, pair_pow, ppow
-from .quadfield import SUPPORT_DINV, SUPPORT_OL, key_trace
+from .errors import ConfigError, ConvergenceDomain, IndexMismatch, NonUnitIndex
+from .padic import PadicNum, char_exponent, pair_pow
+from .quadfield import SUPPORT_DINV, check_support
 from .weights import WeightCharacter
 
 
@@ -45,15 +48,15 @@ class QExpContext:
 
 
 class HilbertQExp:
-    """Truncated Hilbert q-expansion over the context field."""
+    """Truncated Hilbert q-expansion over the context field; support must
+    be SUPPORT_DINV, the only index convention."""
 
-    __slots__ = ("ctx", "support", "bound", "coeffs", "weight_tag")
+    __slots__ = ("ctx", "bound", "coeffs", "weight_tag")
+    support = SUPPORT_DINV
 
     def __init__(self, ctx, support, bound, coeffs=None, weight_tag=None):
-        if support not in (SUPPORT_OL, SUPPORT_DINV):
-            raise ConfigError(f"unknown support tag {support!r}")
+        check_support(support)
         self.ctx = ctx
-        self.support = support
         self.bound = bound
         self.coeffs = {}
         if coeffs:
@@ -71,22 +74,18 @@ class HilbertQExp:
     def _like(self, coeffs, bound=None, weight_tag=None):
         return HilbertQExp(
             self.ctx,
-            self.support,
+            SUPPORT_DINV,
             self.bound if bound is None else bound,
             coeffs,
             self.weight_tag if weight_tag is None else weight_tag,
         )
 
     def _compat(self, other):
-        if (
-            not isinstance(other, HilbertQExp)
-            or other.ctx != self.ctx
-            or other.support != self.support
-        ):
+        if not isinstance(other, HilbertQExp) or other.ctx != self.ctx:
             raise IndexMismatch("operands live on different index sets")
 
     def trace(self, key) -> int:
-        return key_trace(self.ctx.field, key, self.support)
+        return key[1]
 
     def coeff(self, key) -> PadicNum:
         if self.trace(key) > self.bound:
@@ -112,10 +111,10 @@ class HilbertQExp:
         b = min(self.bound, other.bound)
         out = {}
         for k, v in self.coeffs.items():
-            if self.trace(k) <= b:
+            if k[1] <= b:
                 out[k] = v
         for k, v in other.coeffs.items():
-            if self.trace(k) <= b:
+            if k[1] <= b:
                 s = out.get(k)
                 out[k] = v if s is None else s + v
         return self._like(out, bound=b)
@@ -129,9 +128,9 @@ class HilbertQExp:
         out = {}
         by_trace = {}
         for k, v in other.coeffs.items():
-            by_trace.setdefault(self.trace(k), []).append((k, v))
+            by_trace.setdefault(k[1], []).append((k, v))
         for k1, v1 in self.coeffs.items():
-            t1 = self.trace(k1)
+            t1 = k1[1]
             if t1 > b:
                 continue
             for t2, items in by_trace.items():
@@ -152,43 +151,29 @@ class HilbertQExp:
     def d(self, i: int):
         """The derivation a_beta -> sigma_i(beta) a_beta."""
         sp = self.ctx.sp
-        out = {
-            k: v * sp.sigma(k, i, self.support) for k, v in self.coeffs.items()
-        }
+        out = {k: v * sp.sigma(k, i) for k, v in self.coeffs.items()}
         return self._like(out)
 
     def d_char(self, i: int, exponent):
         """sigma_i(beta)^exponent on coefficients.
 
         exponent: an int (exact powering; negative powers require unit
-        indices) or a one-component WeightCharacter (ppow route; requires
-        unit indices throughout, i.e. a suitably depleted input).
+        indices) or a one-component WeightCharacter (one integer power,
+        `char_exponent`; requires unit indices throughout, i.e. a suitably
+        depleted input).
         """
         sp = self.ctx.sp
         ring = self.ring
+        e, character = _power_exponent(exponent, ring)
         out = {}
-        if isinstance(exponent, int):
-            for k, v in self.coeffs.items():
-                s = sp.sigma(k, i, self.support)
-                if exponent < 0 and not s.is_unit():
-                    raise NonUnitIndex(
-                        f"d^({exponent}) at index {k}: sigma_{i} not a unit "
-                        "(input not depleted)"
-                    )
-                out[k] = PadicNum(ring, *pair_pow(ring, s.a, s.b, exponent, v.a, v.b))
-            return self._like(out)
-        if not isinstance(exponent, WeightCharacter) or exponent.arity != 1:
-            raise ConfigError("exponent must be an int or 1-component character")
-        if exponent.classical is not None:
-            return self.d_char(i, exponent.classical[0])
-        u, chi = exponent.u[0], exponent.chi[0]
         for k, v in self.coeffs.items():
-            s = sp.sigma(k, i, self.support)
-            if not s.is_unit():
+            s = sp.sigma(k, i)
+            if (character or e < 0) and not s.is_unit():
+                what = "d-power" if character else f"d^({e})"
                 raise NonUnitIndex(
-                    f"d-power at index {k}: sigma_{i} not a unit (input not depleted)"
+                    f"{what} at index {k}: sigma_{i} not a unit (input not depleted)"
                 )
-            out[k] = v * ppow(s, u, chi)
+            out[k] = PadicNum(ring, *pair_pow(ring, s.a, s.b, e, v.a, v.b))
         return self._like(out)
 
     def deplete(self, which="all"):
@@ -206,7 +191,7 @@ class HilbertQExp:
         for k, v in self.coeffs.items():
             if k == (0, 0):
                 continue
-            if any(sp.in_prime(k, i, self.support) for i in labels):
+            if any(sp.in_prime(k, i) for i in labels):
                 continue
             out[k] = v
         return self._like(out)
@@ -228,7 +213,7 @@ class HilbertQExp:
         out = {}
         for k, v in self.coeffs.items():
             kk = fld.divide_exact(k, gen)
-            if kk is not None and self.trace(kk) <= new_bound:
+            if kk is not None and kk[1] <= new_bound:
                 out[kk] = v
         return self._like(out, bound=new_bound)
 
@@ -250,7 +235,7 @@ class HilbertQExp:
         if bound > self.bound:
             raise IndexMismatch("cannot extend a declared bound")
         return self._like(
-            {k: v for k, v in self.coeffs.items() if self.trace(k) <= bound},
+            {k: v for k, v in self.coeffs.items() if k[1] <= bound},
             bound=bound,
         )
 
@@ -258,7 +243,7 @@ class HilbertQExp:
         """Diagonal restriction: b_n = sum of a_beta over trace(beta) = n."""
         out = {}
         for k, v in self.coeffs.items():
-            n = self.trace(k)
+            n = k[1]
             s = out.get(n)
             out[n] = v if s is None else s + v
         return EllipticQExp(self.ctx.ring, self.bound, out, self.weight_tag)
@@ -341,27 +326,21 @@ class EllipticQExp:
         return self._like({n: v * n for n, v in self.coeffs.items()})
 
     def d_char(self, exponent):
-        """n^exponent on coefficients; exponent as in HilbertQExp.d_char."""
+        """n^exponent on coefficients; exponent as in HilbertQExp.d_char.
+
+        At p = 2 a character exponent also needs every index == 1 mod 4.
+        """
         ring = self.ring
+        m = ring.modulus
+        e, character = _power_exponent(exponent, ring)
         out = {}
-        if isinstance(exponent, int):
-            for n, v in self.coeffs.items():
-                if exponent < 0 and n % ring.p == 0:
-                    raise NonUnitIndex(f"d^({exponent}) at non-unit index {n}")
-                out[n] = PadicNum(
-                    ring, *pair_pow(ring, n % ring.modulus, 0, exponent, v.a, v.b)
-                )
-            return self._like(out)
-        if not isinstance(exponent, WeightCharacter) or exponent.arity != 1:
-            raise ConfigError("exponent must be an int or 1-component character")
-        if exponent.classical is not None:
-            return self.d_char(exponent.classical[0])
-        u, chi = exponent.u[0], exponent.chi[0]
         for n, v in self.coeffs.items():
-            base = ring.make(n)
-            if not base.is_unit():
-                raise NonUnitIndex(f"d-power at non-unit index {n}")
-            out[n] = v * ppow(base, u, chi)
+            if (character or e < 0) and n % ring.p == 0:
+                what = "d-power" if character else f"d^({e})"
+                raise NonUnitIndex(f"{what} at non-unit index {n}")
+            if character and ring.p == 2 and n % m % 4 == 3:
+                raise ConvergenceDomain("p = 2 requires t == 1 mod 4")
+            out[n] = PadicNum(ring, *pair_pow(ring, n % m, 0, e, v.a, v.b))
         return self._like(out)
 
     def deplete(self):
@@ -395,6 +374,19 @@ class EllipticQExp:
         return self._like(
             {n: v for n, v in self.coeffs.items() if n <= bound}, bound=bound
         )
+
+
+def _power_exponent(exponent, ring):
+    """(E, character) for d_char: the integer power E on the ring's units,
+    and whether it came from a non-classical character, whose powers are
+    defined on unit indices only."""
+    if not isinstance(exponent, int):
+        if not isinstance(exponent, WeightCharacter) or exponent.arity != 1:
+            raise ConfigError("exponent must be an int or 1-component character")
+        if exponent.classical is None:
+            return char_exponent(ring, exponent.u[0], exponent.chi[0]), True
+        exponent = exponent.classical[0]
+    return exponent, False
 
 
 def agreement_valuation(f, g, bound=None) -> int:

@@ -2,8 +2,9 @@
 
 Integral elements are integer pairs (a, b) meaning a + b*phi with
 phi = (1 + sqrt(D))/2; the supported table only contains D == 1 mod 4.
-Indices of q-expansions supported on the inverse different are stored by
-their numerator: (a, b) under support 'dinv' means (a + b*phi)/sqrt(D).
+q-expansions have one index convention, 'dinv': they are supported on
+the inverse different, and an index key (a, b) is stored by its
+numerator, meaning (a + b*phi)/sqrt(D).  Its trace is b.
 
 Total positivity and archimedean size comparisons are done with exact
 integer arithmetic (sqrt(D) is irrational for every supported D).
@@ -35,17 +36,30 @@ _NARROW_ONE_TABLE = {
     73: (943, 250),
 }
 
-SUPPORT_OL = "OL"
 SUPPORT_DINV = "dinv"
 
 
-def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+def check_support(support: str):
+    """The only index convention is SUPPORT_DINV."""
+    if support != SUPPORT_DINV:
+        raise ConfigError(f"unknown support tag {support!r}; only {SUPPORT_DINV!r}")
+
+
+def factorize(n: int):
+    """[(q, e), ...] with n = prod q^e, by trial division, q ascending."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
+        q += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,7 +138,7 @@ def make_field(D: int) -> RealQuadraticField:
     """Field constructor; certifies narrow class number one via the table."""
     if D <= 1:
         raise UnsupportedField(f"D = {D} must be > 1")
-    if not _squarefree(D):
+    if any(e > 1 for _, e in factorize(D)):
         raise UnsupportedField(f"D = {D} is not squarefree")
     if D not in _NARROW_ONE_TABLE:
         raise UnsupportedField(
@@ -198,32 +212,28 @@ class PrimeSplitting:
                     break
         assert L.norm(pi) == p and L.is_totally_positive(pi)
         pib = L.conj(pi)
-        s1 = self._embed_integral(pi, 1)
+        s1 = self.embed(pi, 1)
         if s1.valuation() >= 1:
             return pi, pib
         return pib, pi
 
-    def _embed_integral(self, x, which: int) -> PadicNum:
+    def embed(self, x, which: int) -> PadicNum:
+        """p-adic embedding sigma_which of the element a + b*phi of O_L."""
         a, b = x
         phi = self._sigma1_phi if which == 1 else self._sigma2_phi
         return self.ring.make(a) + phi * b
 
-    def sigma(self, x, which: int, support: str = SUPPORT_OL) -> PadicNum:
-        """p-adic embedding sigma_which of an index key."""
-        key = (x, which, support)
-        got = self._cache.get(key)
+    def sigma(self, key, which: int) -> PadicNum:
+        """p-adic embedding sigma_which of the index key (a + b*phi)/sqrt(D)."""
+        got = self._cache.get((key, which))
         if got is not None:
             return got
-        val = self._embed_integral(x, which)
-        if support == SUPPORT_DINV:
-            inv = self._inv_sqrtD[0] if which == 1 else self._inv_sqrtD[1]
-            val = val * inv
-        elif support != SUPPORT_OL:
-            raise ConfigError(f"unknown support tag {support!r}")
-        self._cache[key] = val
+        inv = self._inv_sqrtD[0] if which == 1 else self._inv_sqrtD[1]
+        val = self.embed(key, which) * inv
+        self._cache[key, which] = val
         return val
 
-    def in_prime(self, x, which: int, support: str) -> bool:
+    def in_prime(self, x, which: int) -> bool:
         """Whether the index lies in p_which (inert: in (p))."""
         a, b = x
         p = self.p
@@ -244,48 +254,26 @@ def splitting_type(field: RealQuadraticField, p: int, N: int) -> PrimeSplitting:
 
 
 def tot_pos_enum(field: RealQuadraticField, support: str, B: int):
-    """All keys of 0 and the totally positive elements of trace <= B,
-    sorted by (trace, first real embedding).
+    """The key of 0 and the keys of the totally positive elements of the
+    inverse different of trace <= B, sorted by (trace, a).
+
+    support must be SUPPORT_DINV.
     """
+    check_support(support)
     if B < 0:
         raise ConfigError("trace bound must be >= 0")
     D = field.D
     out = [(0, 0)]
-    if support == SUPPORT_DINV:
-        # key (a,b): element (a + b*phi)/sqrt(D); trace = b;
-        # totally positive iff b > 0 and (2a+b)^2 < D b^2
-        for b in range(1, B + 1):
-            s = math.isqrt(D * b * b)
-            # 2a + b ranges over integers of |.| < b*sqrt(D) with matching parity
-            lo, hi = -s, s
-            for t in range(lo, hi + 1):
-                if (t - b) % 2 == 0 and t * t < D * b * b:
-                    out.append(((t - b) // 2, b))
-    elif support == SUPPORT_OL:
-        # key (a,b): element a + b*phi; trace = 2a + b;
-        # totally positive iff trace > 0 and trace^2 > D b^2
-        for t in range(1, B + 1):
-            s = math.isqrt(t * t // D) + 1
-            for b in range(-s, s + 1):
-                if (t - b) % 2 == 0 and t * t > D * b * b:
-                    out.append(((t - b) // 2, b))
-    else:
-        raise ConfigError(f"unknown support tag {support!r}")
-
-    def sort_key(k):
-        a, b = k
-        if support == SUPPORT_DINV:
-            return (b, a)
-        return (2 * a + b, b)
-
-    out.sort(key=sort_key)
+    # key (a,b): element (a + b*phi)/sqrt(D); trace = b;
+    # totally positive iff b > 0 and (2a+b)^2 < D b^2; b and then t = 2a + b
+    # ascend, so the keys come out sorted
+    for b in range(1, B + 1):
+        s = math.isqrt(D * b * b)
+        # 2a + b ranges over integers of |.| < b*sqrt(D) with matching parity
+        for t in range(-s, s + 1):
+            if (t - b) % 2 == 0 and t * t < D * b * b:
+                out.append(((t - b) // 2, b))
     return out
-
-
-def key_trace(field: RealQuadraticField, key, support: str) -> int:
-    if support == SUPPORT_DINV:
-        return key[1]
-    return field.trace(key)
 
 
 _NORM_BUDGET = 2**63
@@ -309,57 +297,25 @@ def _splitting_mod_q(field: RealQuadraticField, q: int):
     return ("split", s)
 
 
-def ideal_divisors(field: RealQuadraticField, key, support: str, aux: int = 1):
+def ideal_divisors(field: RealQuadraticField, key):
     """Integral ideal divisors of (beta) * different, with norms.
 
-    beta must be a nonzero index key.  Returns a sorted list of
-    (label, norm) pairs where label is a tuple of (q, tag, exponent)
-    entries identifying the divisor.  aux is an auxiliary level: divisors
-    meeting a rational prime of aux are dropped (trivial by default).
+    beta must be a nonzero index key; (beta) * different is the ideal of
+    its numerator.  Returns a sorted list of (label, norm) pairs where
+    label is a tuple of (q, tag, exponent) entries identifying the divisor.
     """
     if key == (0, 0):
         raise ConfigError("ideal_divisors needs beta != 0")
-    cache_key = (field.D, key, support, aux)
+    cache_key = (field.D, key)
     got = _DIVISOR_CACHE.get(cache_key)
     if got is not None:
         return got
-    num = key  # (beta)*different = (numerator) for support 'dinv'
-    n = abs(field.norm(num))
-    if support == SUPPORT_OL:
-        n *= field.D  # times N(different)
+    n = abs(field.norm(key))
     if n >= _NORM_BUDGET:
         raise FactorizationOverflow(f"norm {n} exceeds the 64-bit budget")
-
-    # prime valuations of the ideal (num) [times different for 'OL']
     prime_data = []  # (q, tag, norm_of_prime, valuation)
-    m = abs(field.norm(num))
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            v = 0
-            while m % q == 0:
-                m //= q
-                v += 1
-            prime_data.extend(_prime_vals(field, num, q, v))
-        q += 1
-    if m > 1:
-        prime_data.extend(_prime_vals(field, num, m, 1))
-    if support == SUPPORT_OL:
-        # multiply by the different (sqrt(D)): ramified primes q | D, each once
-        extra = {}
-        for q in _prime_factors(field.D):
-            extra[q] = 1
-        merged = {}
-        for (q, tag, nq, v) in prime_data:
-            merged[(q, tag, nq)] = v
-        for q, v in extra.items():
-            k2 = (q, "ram", q)
-            merged[k2] = merged.get(k2, 0) + v
-        prime_data = [(q, tag, nq, v) for (q, tag, nq), v in sorted(merged.items())]
-
-    if aux != 1:
-        bad = set(_prime_factors(aux))
-        prime_data = [row for row in prime_data if row[0] not in bad]
+    for q, v in factorize(n):
+        prime_data.extend(_prime_vals(field, key, q, v))
     divisors = [((), 1)]
     for (q, tag, nq, v) in prime_data:
         new = []
@@ -373,20 +329,6 @@ def ideal_divisors(field: RealQuadraticField, key, support: str, aux: int = 1):
         _DIVISOR_CACHE.clear()
     _DIVISOR_CACHE[cache_key] = divisors
     return divisors
-
-
-def _prime_factors(n: int):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _prime_vals(field: RealQuadraticField, num, q: int, vq: int):

@@ -2,7 +2,9 @@
 
 Values serialize as little-endian base-p digit strings; degree-2
 coefficients carry two digit strings.  Every writer sorts its keys so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files.  Hilbert form files carry
+`"support": "dinv"`, the one index convention; readers reject any other
+value, and any field of the wrong type, with a SchemaError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .heckeslope import ClassicalBasis, EigenBlock
 from .nearlyoc import NearlyOCExpansion
 from .padic import PadicNum, PadicRing
 from .qexp import EllipticQExp, HilbertQExp, QExpContext
-from .quadfield import make_field, splitting_type
+from .quadfield import SUPPORT_DINV, make_field, splitting_type
 from .weights import WeightCharacter
 
 FORM_VERSION = 1
@@ -46,6 +48,8 @@ def undigits(ds, ring: PadicRing, where: str) -> PadicNum:
         raise SchemaError(f"{where}: expected {ring.degree} digit strings")
     coords = []
     for s in ds:
+        if not isinstance(s, str):
+            raise SchemaError(f"{where}: expected a digit string, got {s!r}")
         try:
             parts = [int(t) for t in s.split(",")]
         except ValueError:
@@ -56,10 +60,31 @@ def undigits(ds, ring: PadicRing, where: str) -> PadicNum:
     return ring.make(*coords)
 
 
-def _require(doc: dict, field: str, where: str):
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require(doc: dict, field: str, where: str, kind=None):
+    """doc[field], checked to be of type kind (int, str, list or dict)."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object")
     if field not in doc:
         raise SchemaError(f"{where}: missing field {field!r}")
-    return doc[field]
+    value = doc[field]
+    ok = kind is None or (_is_int(value) if kind is int else isinstance(value, kind))
+    if not ok:
+        raise SchemaError(
+            f"{where}.{field}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _int_list(value, where: str, length=None) -> list:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise SchemaError(f"{where}: expected a list of integers")
+    if length is not None and len(value) != length:
+        raise SchemaError(f"{where}: expected {length} integers")
+    return value
 
 
 def _check_version(doc: dict, where: str):
@@ -115,21 +140,23 @@ def form_from_dict(doc: dict):
         raise SchemaError(f"{where}: not a form file")
     _check_version(doc, where)
     flavor = _require(doc, "flavor", where)
-    p = _require(doc, "prime", where)
-    N = _require(doc, "precision", where)
-    bound = _require(doc, "bound", where)
+    p = _require(doc, "prime", where, int)
+    N = _require(doc, "precision", where, int)
+    bound = _require(doc, "bound", where, int)
     weight = doc.get("weight")
+    if weight is not None and not _is_int(weight):
+        _int_list(weight, f"{where}.weight")
     if flavor == "hilbert":
-        D = _require(_require(doc, "field", where), "D", where + ".field")
+        D = _require(_require(doc, "field", where, dict), "D", where + ".field", int)
         ctx = context_for(D, p, N)
         if doc.get("degree") != ctx.ring.degree:
             raise SchemaError(f"{where}.degree: inconsistent with the splitting of {p}")
-        support = _require(doc, "support", where)
+        if _require(doc, "support", where) != SUPPORT_DINV:
+            raise SchemaError(f"{where}.support: expected {SUPPORT_DINV!r}")
         coeffs = {}
-        for i, entry in enumerate(_require(doc, "coeffs", where)):
+        for i, entry in enumerate(_require(doc, "coeffs", where, list)):
             beta = _require(entry, "beta", f"{where}.coeffs[{i}]")
-            if not isinstance(beta, list) or len(beta) != 2:
-                raise SchemaError(f"{where}.coeffs[{i}].beta: expected [a, b]")
+            _int_list(beta, f"{where}.coeffs[{i}].beta", 2)
             val = undigits(
                 _require(entry, "value", f"{where}.coeffs[{i}]"),
                 ctx.ring,
@@ -137,14 +164,14 @@ def form_from_dict(doc: dict):
             )
             coeffs[tuple(beta)] = val
         wt = tuple(weight) if weight else None
-        return HilbertQExp(ctx, support, bound, coeffs, wt)
+        return HilbertQExp(ctx, SUPPORT_DINV, bound, coeffs, wt)
     if flavor == "elliptic":
         degree = doc.get("degree", 1)
         ring = PadicRing(p, N, degree)
         coeffs = {}
-        for i, entry in enumerate(_require(doc, "coeffs", where)):
-            n = _require(entry, "n", f"{where}.coeffs[{i}]")
-            coeffs[int(n)] = undigits(
+        for i, entry in enumerate(_require(doc, "coeffs", where, list)):
+            n = _require(entry, "n", f"{where}.coeffs[{i}]", int)
+            coeffs[n] = undigits(
                 _require(entry, "value", f"{where}.coeffs[{i}]"),
                 ring,
                 f"{where}.coeffs[{i}].value",
@@ -179,25 +206,31 @@ def noc_from_dict(doc: dict) -> NearlyOCExpansion:
     _check_version(doc, where)
     flavor = _require(doc, "flavor", where)
     terms = {}
-    for i, entry in enumerate(_require(doc, "terms", where)):
-        deg = tuple(_require(entry, "degree", f"{where}.terms[{i}]"))
-        terms[deg] = form_from_dict(_require(entry, "form", f"{where}.terms[{i}]"))
+    for i, entry in enumerate(_require(doc, "terms", where, list)):
+        at = f"{where}.terms[{i}]"
+        deg = tuple(_int_list(_require(entry, "degree", at), at + ".degree"))
+        terms[deg] = form_from_dict(_require(entry, "form", at, dict))
     if not terms:
         raise SchemaError(f"{where}.terms: empty expansion")
     any_form = next(iter(terms.values()))
     ring = any_form.ring
-    wdoc = _require(doc, "weight", where)
+    wdoc = _require(doc, "weight", where, dict)
+    at = where + ".weight"
     ring1 = PadicRing(ring.p, ring.N, 1)
     u = [
-        undigits([s], ring1, f"{where}.weight.u[{i}]")
-        for i, s in enumerate(_require(wdoc, "u", where + ".weight"))
+        undigits([s], ring1, f"{at}.u[{i}]")
+        for i, s in enumerate(_require(wdoc, "u", at, list))
     ]
+    torsion_order = _require(wdoc, "torsion_order", at, int)
+    if torsion_order < 1:
+        raise SchemaError(f"{at}.torsion_order: expected a positive integer")
+    classical = wdoc.get("classical")
     wt = WeightCharacter(
         ring1,
-        _require(wdoc, "torsion_order", where + ".weight"),
+        torsion_order,
         u,
-        _require(wdoc, "chi", where + ".weight"),
-        tuple(wdoc["classical"]) if wdoc.get("classical") else None,
+        _int_list(_require(wdoc, "chi", at), at + ".chi"),
+        tuple(_int_list(classical, at + ".classical")) if classical else None,
     )
     return NearlyOCExpansion(flavor, wt, terms)
 
@@ -230,17 +263,17 @@ def basis_from_dict(doc: dict) -> ClassicalBasis:
         raise SchemaError(f"{where}: not a basis file")
     _check_version(doc, where)
     ring = PadicRing(
-        _require(doc, "p", where),
-        _require(doc, "precision", where),
+        _require(doc, "p", where, int),
+        _require(doc, "precision", where, int),
         doc.get("degree", 1),
     )
-    forms = [form_from_dict(d) for d in _require(doc, "forms", where)]
+    forms = [form_from_dict(d) for d in _require(doc, "forms", where, list)]
     blocks = []
-    for i, e in enumerate(_require(doc, "eigen", where)):
+    for i, e in enumerate(_require(doc, "eigen", where, list)):
         blocks.append(
             EigenBlock(
-                _require(e, "index", f"{where}.eigen[{i}]"),
-                _require(e, "v_index", f"{where}.eigen[{i}]"),
+                _require(e, "index", f"{where}.eigen[{i}]", int),
+                _require(e, "v_index", f"{where}.eigen[{i}]", int),
                 undigits(_require(e, "a_p", f"{where}.eigen[{i}]"), ring, "a_p"),
                 undigits(
                     _require(e, "nebentype_at_p", f"{where}.eigen[{i}]"),
@@ -251,8 +284,8 @@ def basis_from_dict(doc: dict) -> ClassicalBasis:
         )
     return ClassicalBasis(
         ring,
-        _require(doc, "weight", where),
-        _require(doc, "tame_level", where),
+        _require(doc, "weight", where, int),
+        _require(doc, "tame_level", where, int),
         forms,
         blocks,
     )
@@ -279,5 +312,7 @@ def read_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise SchemaError(f"{path}: cannot read the file ({e.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaError(f"{path}: truncated or malformed JSON ({e})") from None

@@ -55,6 +55,45 @@ def test_schema_error_exit_code(tmp_path, capsys):
                  str(tmp_path / "o.json")]) == 3
 
 
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for k in head:
+            doc = doc[k]
+        doc[last] = value
+    return edit
+
+
+MALFORMED = {
+    "n not an integer": ("eisenstein", _set(("coeffs", 0, "n"), "abc")),
+    "prime a string": ("random-depleted", _set(("prime",), "7")),
+    "value not digit strings": ("random-depleted", _set(("coeffs", 0, "value"), [7])),
+    "beta not integers": ("random-depleted", _set(("coeffs", 0, "beta"), ["a", "b"])),
+    "bound a string": ("random-depleted", _set(("bound",), "x")),
+    "support OL": ("random-depleted", _set(("support",), "OL")),
+    "missing file": (None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_code(tmp_path, capsys, case):
+    recipe, edit = MALFORMED[case]
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    if recipe is not None:
+        assert main(["gen", recipe, "--D", "5", "--p", "11", "--N", "4",
+                     "--B", "6", "--out", str(src)]) == 0
+        doc = read_json(src)
+        edit(doc)
+        src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["apply", "deplete", "--in", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration" in err
+    if recipe is None:
+        assert str(src) in err
+    assert not out.exists()
+
+
 def test_verify_exit_codes(capsys):
     rc = main(["verify", "gz-inert", "--D", "5", "--p", "7", "--l", "4,4",
                "--s", "0", "--N", "8", "--B", "16"])

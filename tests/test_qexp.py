@@ -13,7 +13,7 @@ from padicgz.formgen import (
 )
 from padicgz.padic import PadicRing, ppow
 from padicgz.qexp import EllipticQExp, HilbertQExp, QExpContext, agreement_valuation
-from padicgz.quadfield import SUPPORT_DINV, SUPPORT_OL, make_field, splitting_type
+from padicgz.quadfield import SUPPORT_DINV, make_field, splitting_type
 from padicgz.weights import WeightCharacter
 
 L = make_field(5)
@@ -53,11 +53,18 @@ def test_d_embedding_value():
     ctx = QExpContext(L, splitting_type(L, 11, 1))
     f = HilbertQExp(ctx, SUPPORT_DINV, 4, {(2, 1): ctx.ring.one})
     assert f.d(1).coeffs[(2, 1)] == ctx.ring.from_int(8)
-    phi = CTX11.sp.sigma((2, 1), 1, SUPPORT_DINV)
+    phi = CTX11.sp.sigma((2, 1), 1)
     assert (phi - CTX11.ring.from_int(8)).valuation() >= 1
     # constant term dies
     c = HilbertQExp(CTX11, SUPPORT_DINV, 4, {(0, 0): CTX11.ring.from_int(3)})
     assert c.d(1).is_zero()
+
+
+def test_one_index_convention():
+    assert HilbertQExp(CTX11, SUPPORT_DINV, 4).support == SUPPORT_DINV
+    for bad in ("OL", None):
+        with pytest.raises(ConfigError):
+            HilbertQExp(CTX11, bad, 4)
 
 
 def test_d_leibniz_and_commutation():
@@ -95,7 +102,7 @@ def test_d_char_integer_matches_repeated_products():
             for e in exponents:
                 g = f.d_char(i, e)
                 for k, v in f.coeffs.items():
-                    s = ctx.sp.sigma(k, i, f.support)
+                    s = ctx.sp.sigma(k, i)
                     assert g.coeff(k) == v * _power_by_products(s, e)
                 assert g.d_char(i, -e) == f
     rng = random.Random(36)
@@ -153,7 +160,7 @@ def test_d_char_character_matches_ppow():
                 g = f.d_char(i, ch)
                 assert set(g.coeffs) == set(f.coeffs)
                 for k, v in f.coeffs.items():
-                    s = ctx.sp.sigma(k, i, f.support)
+                    s = ctx.sp.sigma(k, i)
                     assert g.coeff(k) == v * ppow(s, u, ch.chi[0])
         with pytest.raises(NonUnitIndex):
             random_form(39, ctx, 8).d_char(1, ch)

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from padicgz.errors import RamifiedPrime, UnsupportedField
+from padicgz.errors import ConfigError, RamifiedPrime, UnsupportedField
 from padicgz.quadfield import (
     SUPPORT_DINV,
-    SUPPORT_OL,
+    factorize,
     ideal_divisors,
-    key_trace,
     make_field,
     splitting_type,
     tot_pos_enum,
@@ -37,9 +36,9 @@ def test_splitting_types():
     assert L.mul(s11.pi1, s11.pi2) == (11, 0)
     assert L.norm(s11.pi1) == 11
     assert L.is_totally_positive(s11.pi1) and L.is_totally_positive(s11.pi2)
-    assert s11.sigma(s11.pi1, 1).valuation() == 1
-    assert s11.sigma(s11.pi2, 1).is_unit()
-    assert s11.sigma(s11.pi2, 2).valuation() == 1
+    assert s11.embed(s11.pi1, 1).valuation() == 1
+    assert s11.embed(s11.pi2, 1).is_unit()
+    assert s11.embed(s11.pi2, 2).valuation() == 1
 
     s7 = splitting_type(L, 7, 6)
     assert s7.kind == "inert"
@@ -55,7 +54,7 @@ def test_embeddings_norm_trace():
         rng = random.Random(10)
         for _ in range(25):
             x = (rng.randrange(-20, 20), rng.randrange(-20, 20))
-            s1, s2 = sp.sigma(x, 1), sp.sigma(x, 2)
+            s1, s2 = sp.embed(x, 1), sp.embed(x, 2)
             assert s1 * s2 == ring.from_int(L.norm(x)) if ring.degree == 1 else True
             if ring.degree == 2:
                 assert s1 * s2 == ring.make(L.norm(x))
@@ -69,7 +68,9 @@ def test_embedding_phi_value():
     # sigma_1(phi) = (1+4)/2 = 8 mod 11
     L = make_field(5)
     sp = splitting_type(L, 11, 1)
-    assert sp.sigma((0, 1), 1).lift() == 8
+    assert sp.embed((0, 1), 1).lift() == 8
+    # the index key (2, 1) is (phi + 2)/sqrt(5) = phi
+    assert sp.sigma((2, 1), 1).lift() == 8
 
 
 def test_tot_pos_enum_dinv():
@@ -81,18 +82,10 @@ def test_tot_pos_enum_dinv():
     both = tot_pos_enum(L, SUPPORT_DINV, 6)
     assert set(keys) <= set(both)
     for k in both:
-        assert key_trace(L, k, SUPPORT_DINV) <= 6
-
-
-def test_tot_pos_enum_ol():
-    L = make_field(5)
-    assert tot_pos_enum(L, SUPPORT_OL, 0) == [(0, 0)]
-    keys = tot_pos_enum(L, SUPPORT_OL, 2)
-    assert set(keys) == {(0, 0), (1, 0)}
-    for k in tot_pos_enum(L, SUPPORT_OL, 9):
-        if k != (0, 0):
-            assert L.is_totally_positive(k)
-            assert L.trace(k) <= 9
+        assert k[1] <= 6
+    assert tot_pos_enum(L, SUPPORT_DINV, 0) == [(0, 0)]
+    with pytest.raises(ConfigError):
+        tot_pos_enum(L, "OL", 6)
 
 
 def test_enum_counts_match_direct_scan():
@@ -119,14 +112,14 @@ def test_enum_counts_match_direct_scan():
 def test_ideal_divisors():
     L = make_field(5)
     # beta = phi/sqrt(5): (beta)*different = (phi), a unit ideal
-    assert ideal_divisors(L, (0, 1), SUPPORT_DINV) == [((), 1)]
+    assert ideal_divisors(L, (0, 1)) == [((), 1)]
     # beta = 1: numerator sqrt(5) = 2*phi - 1, divisors of (sqrt 5): norms {1, 5}
-    divs = ideal_divisors(L, (-1, 2), SUPPORT_DINV)
+    divs = ideal_divisors(L, (-1, 2))
     assert [n for _, n in divs] == [1, 5]
     # units do not change divisor lists: phi * x vs x
     x = (3, 1)
-    a = [n for _, n in ideal_divisors(L, x, SUPPORT_DINV)]
-    b = [n for _, n in ideal_divisors(L, L.mul(x, (0, 1)), SUPPORT_DINV)]
+    a = [n for _, n in ideal_divisors(L, x)]
+    b = [n for _, n in ideal_divisors(L, L.mul(x, (0, 1)))]
     assert a == b
 
 
@@ -135,7 +128,7 @@ def test_ideal_divisors_multiplicative():
     # norms of divisors of (beta) for beta = 2 * (p1-generator): split 11 * inert 2
     sp = splitting_type(L, 11, 4)
     beta = L.mul_int(sp.pi1, 2)
-    divs = ideal_divisors(L, beta, SUPPORT_DINV)
+    divs = ideal_divisors(L, beta)
     norms = sorted(n for _, n in divs)
     assert norms == [1, 4, 11, 44]  # (2) inert of norm 4, p1 of norm 11
 
@@ -144,14 +137,20 @@ def test_divisor_sum_sigma():
     # sum of norms over divisors of (beta) * different for a rational beta
     L = make_field(5)
     # beta = 2: numerator 2 sqrt(5) = (-2, 4), norm 20
-    divs = ideal_divisors(L, (-2, 4), SUPPORT_DINV)
+    divs = ideal_divisors(L, (-2, 4))
     total = sum(n for _, n in divs)
     # divisors: 1, (2) norm 4, (sqrt5) norm 5, (2 sqrt5) norm 20
     assert total == 1 + 4 + 5 + 20
 
 
-def test_ideal_divisors_aux_level():
-    L = make_field(5)
-    divs = ideal_divisors(L, (2, 0), SUPPORT_OL)  # norms 1, 4, 5, 20
-    divs_aux = ideal_divisors(L, (2, 0), SUPPORT_OL, aux=2)
-    assert [n for _, n in divs_aux] == [1, 5]
+def test_factorize():
+    assert factorize(1) == []
+    assert factorize(2) == [(2, 1)]
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(97 * 97 * 101) == [(97, 2), (101, 1)]
+    for n in range(1, 300):
+        prod = 1
+        for q, e in factorize(n):
+            assert e >= 1 and factorize(q) == [(q, 1)]
+            prod *= q**e
+        assert prod == n

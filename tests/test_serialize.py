@@ -91,3 +91,32 @@ def test_basis_round_trip():
     for a, b in zip(back.forms, basis.forms):
         assert a == b
     assert back.blocks[1].a_p == basis.blocks[1].a_p
+
+
+def test_noc_and_basis_field_types():
+    ctx = context_for(5, 11, 6)
+    ring1 = PadicRing(11, 6, 1)
+    tor = ctx.ring.residue_order()
+    k = WeightCharacter.from_classical(ring1, tor, (8, 8))
+    r = WeightCharacter.from_classical(ring1, tor, (-2, 0))
+    noc = noc_to_dict(nabla_pow(random_depleted(3, ctx, 4), k, r))
+    basis = basis_to_dict(demo_basis(PadicRing(7, 6), 14))
+    for doc, path, value in (
+        (noc, ("terms", 0, "degree"), ["a", 0]),
+        (noc, ("weight", "chi"), "8"),
+        (noc, ("weight", "torsion_order"), 0),
+        (noc, ("weight", "u"), [3]),
+        (noc, ("terms",), {}),
+        (basis, ("p",), "7"),
+        (basis, ("forms",), None),
+        (basis, ("eigen", 0, "index"), "0"),
+        (basis, ("eigen", 0, "a_p"), 5),
+        (basis, ("weight",), 12.0),
+    ):
+        bad = json.loads(dump(doc))
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError):
+            (noc_from_dict if doc is noc else basis_from_dict)(bad)
