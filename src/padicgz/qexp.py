@@ -165,10 +165,11 @@ class HilbertQExp:
         sp = self.ctx.sp
         ring = self.ring
         e, character = _power_exponent(exponent, ring)
+        units_only = character or e < 0
         out = {}
         for k, v in self.coeffs.items():
             s = sp.sigma(k, i)
-            if (character or e < 0) and not s.is_unit():
+            if units_only and not s.is_unit():
                 what = "d-power" if character else f"d^({e})"
                 raise NonUnitIndex(
                     f"{what} at index {k}: sigma_{i} not a unit (input not depleted)"
@@ -333,9 +334,10 @@ class EllipticQExp:
         ring = self.ring
         m = ring.modulus
         e, character = _power_exponent(exponent, ring)
+        units_only = character or e < 0
         out = {}
         for n, v in self.coeffs.items():
-            if (character or e < 0) and n % ring.p == 0:
+            if units_only and n % ring.p == 0:
                 what = "d-power" if character else f"d^({e})"
                 raise NonUnitIndex(f"{what} at non-unit index {n}")
             if character and ring.p == 2 and n % m % 4 == 3:

@@ -65,7 +65,7 @@ def _is_int(x) -> bool:
 
 
 def _require(doc: dict, field: str, where: str, kind=None):
-    """doc[field], checked to be of type kind (int, str, list or dict)."""
+    """doc[field], checked to be of type kind (int, list or dict) if given."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
     if field not in doc:
@@ -144,8 +144,6 @@ def form_from_dict(doc: dict):
     N = _require(doc, "precision", where, int)
     bound = _require(doc, "bound", where, int)
     weight = doc.get("weight")
-    if weight is not None and not _is_int(weight):
-        _int_list(weight, f"{where}.weight")
     if flavor == "hilbert":
         D = _require(_require(doc, "field", where, dict), "D", where + ".field", int)
         ctx = context_for(D, p, N)
@@ -163,9 +161,11 @@ def form_from_dict(doc: dict):
                 f"{where}.coeffs[{i}].value",
             )
             coeffs[tuple(beta)] = val
-        wt = tuple(weight) if weight else None
+        wt = tuple(_int_list(weight, f"{where}.weight")) if weight else None
         return HilbertQExp(ctx, SUPPORT_DINV, bound, coeffs, wt)
     if flavor == "elliptic":
+        if weight is not None and not _is_int(weight):
+            _int_list(weight, f"{where}.weight")  # a diagonal restriction keeps (k, k)
         degree = doc.get("degree", 1)
         ring = PadicRing(p, N, degree)
         coeffs = {}
