@@ -6,7 +6,11 @@ import json
 import pytest
 
 from padicgz.cli import main
-from padicgz.serialize import read_json
+from padicgz.formgen import hilbert_eisenstein
+from padicgz.nearlyoc import nabla_pow
+from padicgz.padic import PadicRing
+from padicgz.serialize import context_for, dump, noc_to_dict, read_json
+from padicgz.weights import WeightCharacter
 
 
 def test_classify(capsys):
@@ -158,3 +162,44 @@ def test_report_golden_hashes(tmp_path, command, p):
                    "--N", "12", "--B", "21", "--out", str(out)]
     assert main(args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[command, p]
+
+
+VERIFY_SHA256 = {
+    ("gz-inert", "7"): "e8352491587d6959576edeef49082c5799ac08c818eb54c56e77641ac5f10f0b",
+    ("gz-split", "7"): "4ab2dfb7461858055f58e77f40fbe33159c62f84e3afc02dc0430811755993be",
+    ("gz-split", "11"): "9691190450826506e1d78b964818644a837e47abd28f69993abddc23226cf779",
+}
+
+
+@pytest.mark.parametrize("suite,p", sorted(VERIFY_SHA256))
+def test_verify_golden_hashes(tmp_path, capsys, suite, p):
+    # pins the identity-check report bytes; gz-inert needs an inert prime
+    out = tmp_path / "v.json"
+    assert main(["verify", suite, "--D", "5", "--p", p, "--l", "8,8", "--s", "1",
+                 "--N", "12", "--B", "21", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256[suite, p]
+
+
+NOC_SHA256 = {
+    3: "d7e0bdc94579d1577332da84a5fc09d79e5ed2599d5709ec623a79b2c875651c",
+    5: "13b3d4d00c972f6dff6b45cd6688e328bffe3dce9ac735ec17c02b7fb56bcab4",
+    7: "a89c73b61bff9355d0d9ec7060eba6ecdd302ee58b4ff280b5199c5a3a576430",
+    11: "67131f1d855eea8662898cffe656004ae80afcab55028e2b8e628a2e5e6bfcbd",
+    13: "ce5d0cefe5a2743616799fc6fedd0c618ef71b928ae20130b5bae9ee3ac74b40",
+}
+
+
+@pytest.mark.parametrize("p", sorted(NOC_SHA256))
+def test_analytic_nabla_golden_hashes(p):
+    # nabla^r of the depleted weight-8 Eisenstein series for the analytic
+    # exponent u = -2 + (p - 1) p, which has no classical shortcut; 5 is
+    # ramified in Q(sqrt 5), so p = 5 runs over Q(sqrt 13)
+    ctx = context_for(13 if p == 5 else 5, p, 8)
+    ring1 = PadicRing(p, 8, 1)
+    tor = ctx.ring.residue_order()
+    g = hilbert_eisenstein(8, ctx, 12).deplete("all")
+    k = WeightCharacter.from_classical(ring1, tor, (8, 8))
+    u = ring1.from_int(-2 + (p - 1) * p)
+    r = WeightCharacter(ring1, tor, (u, ring1.zero), (-2, 0))
+    doc = dump(noc_to_dict(nabla_pow(g, k, r)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == NOC_SHA256[p]
