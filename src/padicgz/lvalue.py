@@ -24,9 +24,8 @@ from .nearlyoc import (
     ELLIPTIC,
     NearlyOCExpansion,
     from_omega_eta,
-    nabla_pow,
     oc_project,
-    zeta_star_noc,
+    zeta_star_nabla_pow,
 )
 from .padic import PadicNum, PadicRing, PrecisionBudget, ScaledPadic
 from .qexp import HilbertQExp, agreement_valuation
@@ -260,11 +259,12 @@ def _tau_sum(h: HilbertQExp, ell1: int, s: int, k: int, top: int):
     if s < 0 or s > ell1 - 2:
         raise ConfigError(f"s = {s} outside 0..ell1-2 = {ell1 - 2}")
     ring = h.ring
-    entries = []
-    for j in range(s, ell1 - 1):
-        coef = (-1) ** j * math.factorial(j) * math.comb(ell1 - 2 - s, j - s)
-        inner = h.d_char(1, top - j).zeta_star().scale(ring.from_int(coef))
-        entries.append((inner, k - 2 - (j - s), j - s, True))
+    coefs = [
+        ring.from_int((-1) ** j * math.factorial(j) * math.comb(ell1 - 2 - s, j - s))
+        for j in range(s, ell1 - 1)
+    ]
+    inner = h.d_ladder(1, top - s, coefs, restrict=True)
+    entries = [(z, k - 2 - i, i, True) for i, z in enumerate(inner)]
     return from_omega_eta(entries, _echar(ring, k), ELLIPTIC)
 
 
@@ -561,7 +561,7 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, kind: str, config=None):
     r_char = _hchar(ctx, (-s - 1, 0))
     scale = ring.from_int((-1) ** s * math.factorial(s))
 
-    rhs_noc = zeta_star_noc(nabla_pow(gdep, ell_char, r_char)).scale(scale)
+    rhs_noc = zeta_star_nabla_pow(gdep, ell_char, r_char).scale(scale)
     if kind == "inert":
         lhs_noc = build_tau_g(g, ell, s, k)
     elif kind == "split":
@@ -659,9 +659,9 @@ def lp_balanced(
         < H^(dagger, <= a) (zeta* nabla^(-s-1,0) g^[P]), f* > / < f*, f* >
 
     at the slope bound a = slope of f* (block.slopes[0], recorded in the
-    report config), realized by the pipeline deplete -> nabla_pow ->
-    diagonal restriction -> overconvergent projection -> isotypic pairing
-    in the classical basis.  The pairing functional is coordinate
+    report config), realized by the pipeline deplete -> nabla_pow and
+    diagonal restriction in one ladder (zeta_star_nabla_pow) ->
+    overconvergent projection -> isotypic pairing in the classical basis.  The pairing functional is coordinate
     extraction at the canonical rows; out-of-span residuals are flagged,
     not fatal, and the report documents them.
     """
@@ -679,11 +679,9 @@ def lp_balanced(
     config.setdefault("basis", basis_fingerprint(basis))
     budget = PrecisionBudget(ring.N)
     gdep = g.deplete("all")
-    noc = nabla_pow(gdep, _hchar(ctx, ell), _hchar(ctx, (-s - 1, 0)))
+    noc = zeta_star_nabla_pow(gdep, _hchar(ctx, ell), _hchar(ctx, (-s - 1, 0)))
     flags = []
-    value, shift = _project_and_pair(
-        zeta_star_noc(noc), k, basis, block, budget, flags
-    )
+    value, shift = _project_and_pair(noc, k, basis, block, budget, flags)
     return EvaluationReport(
         kind="lp-balanced",
         config={

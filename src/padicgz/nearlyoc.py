@@ -9,7 +9,9 @@ derived accessor that divides exactly and fails loudly.
 Provided here: the Gauss-Manin operators nabla_i and their p-adic
 iteration nabla_pow, diagonal restriction, the omega/eta monomial
 wrapper (one dq/q factor raises the weight by 2), and the overconvergent
-projection with its factorial denominators.
+projection with its factorial denominators.  nabla_pow and its restricted
+entry point zeta_star_nabla_pow (= zeta_star_noc o nabla_pow, without the
+Hilbert terms) share one scalar loop and one d_ladder pass.
 """
 
 from __future__ import annotations
@@ -155,8 +157,34 @@ def nabla_pow(
 
     The j-th term carries an explicit p^j, so the sum truncates at the
     working precision; for classical specializations the product factor
-    reaches an exact zero first and the sum is finite.
+    reaches an exact zero first and the sum is finite.  All terms come
+    from one `HilbertQExp.d_ladder` pass.
     """
+    weight, terms = _nabla_terms(g, k, r, restrict=False)
+    res = NearlyOCExpansion(
+        HILBERT, weight, {(j, 0): t for j, t in enumerate(terms) if t is not None}
+    )
+    res.assert_divisibility()
+    return res
+
+
+def zeta_star_nabla_pow(
+    g: HilbertQExp, k: WeightCharacter, r: WeightCharacter
+) -> NearlyOCExpansion:
+    """zeta_star_noc(nabla_pow(g, k, r)), with each term restricted to the
+    diagonal inside the ladder, so the Hilbert terms are never built."""
+    weight, terms = _nabla_terms(g, k, r, restrict=True)
+    res = NearlyOCExpansion(
+        ELLIPTIC,
+        char_shift(weight, None, "restrict"),
+        {(j,): t for j, t in enumerate(terms) if t is not None},
+    )
+    res.assert_divisibility()
+    return res
+
+
+def _nabla_terms(g, k, r, restrict):
+    """(weight k + 2r, the d_ladder terms of nabla^r g by V-degree j)."""
     if k.arity != 2 or r.arity != 2:
         raise ConfigError("nabla_pow expects two-embedding weight characters")
     if not r.u[1].is_zero() or r.chi[1] % r.torsion_order:
@@ -165,7 +193,7 @@ def nabla_pow(
     ring = g.ctx.ring
     p, N = ring.p, ring.N
     uk1, ur = k.u[0], r.u[0]
-    terms = {}
+    scalars = []
     falling = ring1.one
     prod = ring1.one
     for j in range(N):
@@ -176,12 +204,15 @@ def nabla_pow(
                 break  # the exact zero factor persists in every later term
         scalar = ring.embed(pbinom(ur, j, ring1) * prod) * (p**j)
         if scalar.is_zero():
-            continue
-        inner = g.d_char(1, r.minus_int(j).component(0))
-        terms[(j, 0)] = inner.scale(scalar)
-    res = NearlyOCExpansion(HILBERT, char_shift(k, r, "add2r"), terms)
-    res.assert_divisibility()
-    return res
+            scalar = None
+        elif scalar.valuation() < j:
+            raise InsufficientValuation(
+                f"nabla^r scalar at V-degree {j} has valuation "
+                f"{scalar.valuation()} < {j}"
+            )
+        scalars.append(scalar)
+    weight = char_shift(k, r, "add2r")
+    return weight, g.d_ladder(1, r.component(0), scalars, restrict)
 
 
 def zeta_star_noc(gamma: NearlyOCExpansion) -> NearlyOCExpansion:

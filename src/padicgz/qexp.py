@@ -2,6 +2,11 @@
 elliptic over Q, with the index derivations d_i, depletion, the U/V/T
 operators at p, and diagonal restriction.
 
+Powers of d_i run on one ladder (`HilbertQExp.d_ladder`): the terms
+c_j * d_i^(e - j) for consecutive j come from one power per coefficient
+and one int-pair multiply per step, each term optionally restricted to
+the diagonal as it is summed; `d_char` is its one-term case.
+
 Coefficients are sparse maps from index keys to p-adic numbers; absent
 keys are zero.  Hilbert indices have one convention ('dinv', see
 `quadfield`): the key (a, b) is the element (a + b*phi)/sqrt(D) of the
@@ -160,22 +165,78 @@ class HilbertQExp:
         exponent: an int (exact powering; negative powers require unit
         indices) or a one-component WeightCharacter (one integer power,
         `char_exponent`; requires unit indices throughout, i.e. a suitably
-        depleted input).
+        depleted input).  The one-term case of d_ladder.
+        """
+        return self.d_ladder(i, exponent, (self.ring.one,))[0]
+
+    def d_ladder(self, i: int, exponent, scalars, restrict=False):
+        """The terms scalars[j] * d_i^(exponent - j)(self), j = 0..n-1.
+
+        exponent is as in d_char; scalars are ring elements, and a None
+        scalar skips its term (its entry is None).  Each coefficient's
+        powers come from one ladder: one `pair_pow` at the lowest exponent
+        in use, then one int-pair multiply by sigma_i(beta) per step up.
+        No step inverts, so non-unit indices are allowed when every term in
+        use has a non-negative integer exponent.  For a character the steps
+        are exact on units, since the CRT lift of u - j is E - j modulo the
+        unit group's exponent.  Each scalar is applied once per output
+        coefficient.  With restrict the terms come back diagonally
+        restricted, as the elliptic zeta_star of each term, summed straight
+        by trace without building the Hilbert terms.
         """
         sp = self.ctx.sp
         ring = self.ring
+        m, c = ring.modulus, ring.nonresidue or 0
         e, character = _power_exponent(exponent, ring)
-        units_only = character or e < 0
-        out = {}
+        out = [None] * len(scalars)
+        live = [j for j, s in enumerate(scalars) if s is not None]
+        if not live:
+            return out
+        top, low = live[0], live[-1]
+        if character and low > top and exponent.torsion_order % ring.residue_order():
+            raise ConfigError(
+                "a character ladder needs a torsion order divisible by p^f - 1"
+            )
+        negative = next((e - j for j in live if e - j < 0), None)
+        units_only = character or negative is not None
+        what = "d-power" if character else f"d^({negative})"
+        rows = {}
         for k, v in self.coeffs.items():
             s = sp.sigma(k, i)
             if units_only and not s.is_unit():
-                what = "d-power" if character else f"d^({e})"
                 raise NonUnitIndex(
                     f"{what} at index {k}: sigma_{i} not a unit (input not depleted)"
                 )
-            out[k] = PadicNum(ring, *pair_pow(ring, s.a, s.b, e, v.a, v.b))
-        return self._like(out)
+            sa, sb = s.a, s.b
+            sbc = sb * c % m
+            wa, wb = pair_pow(ring, sa, sb, e - low, v.a, v.b)
+            row = [wa, wb]
+            for _ in range(low - top):
+                wa, wb = (wa * sa + wb * sbc) % m, (wa * sb + wb * sa) % m
+                row += (wa, wb)
+            if restrict:
+                acc = rows.get(k[1])
+                rows[k[1]] = row if acc is None else [x + y for x, y in zip(acc, row)]
+            else:
+                rows[k] = row
+        for j in live:
+            s, at = scalars[j], 2 * (low - j)
+            if s.ring != ring:
+                raise ConfigError("mixed p-adic rings in arithmetic")
+            ca, cbc, cb = s.a, s.b * c % m, s.b
+            coeffs = {
+                key: PadicNum(
+                    ring,
+                    (ca * row[at] + cbc * row[at + 1]) % m,
+                    (ca * row[at + 1] + cb * row[at]) % m,
+                )
+                for key, row in rows.items()
+            }
+            if restrict:
+                out[j] = EllipticQExp(ring, self.bound, coeffs, self.weight_tag)
+            else:
+                out[j] = self._like(coeffs)
+        return out
 
     def deplete(self, which="all"):
         """Zero the coefficients with index in the chosen primes above p.
