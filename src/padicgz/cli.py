@@ -27,6 +27,7 @@ from .qexp import HilbertQExp
 from .serialize import (
     basis_from_dict,
     basis_to_dict,
+    check_report,
     context_for,
     dump,
     form_from_dict,
@@ -350,7 +351,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = read_json(args.infile)
+    doc = check_report(read_json(args.infile))
     print(f"kind: {doc.get('kind')}")
     print(f"config: {json.dumps(doc.get('config'), sort_keys=True)}")
     val = doc.get("value")
@@ -369,14 +370,14 @@ def _cmd_report(args) -> int:
         if table:
             worst = min(row["agreement"] for row in table)
             print(f"identity agreement: min valuation {worst} across "
-                  f"{len(table)} coefficients")
+                  f"{len(table)} V-degrees")
         print(f"agreement valuation: {doc['agreement_valuation']}")
         print(f"certified valuation: {doc['certified_valuation']}")
     if doc.get("euler"):
         print(f"euler factors: {json.dumps(doc['euler'], sort_keys=True)}")
-    for entry in doc.get("budget", []):
+    for entry in doc.get("budget") or []:
         print(f"budget: {entry['op']}: {entry['digits']} digit(s)")
-    for fl in doc.get("flags", []):
+    for fl in doc.get("flags") or []:
         print(f"flag: {fl}")
     if doc.get("passed") is not None:
         print(f"passed: {doc['passed']}")

@@ -87,6 +87,16 @@ def _int_list(value, where: str, length=None) -> list:
     return value
 
 
+def _optional_list(doc: dict, field: str, where: str) -> list:
+    """doc[field] as a list; [] when it is missing or null."""
+    value = doc.get(field)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}.{field}: expected list, got {type(value).__name__}")
+    return value
+
+
 def _check_version(doc: dict, where: str):
     v = _require(doc, "version", where)
     if v != FORM_VERSION:
@@ -296,6 +306,32 @@ def basis_fingerprint(basis: ClassicalBasis) -> str:
     import hashlib
 
     return hashlib.sha256(dump(basis_to_dict(basis)).encode()).hexdigest()[:12]
+
+
+def check_report(doc) -> dict:
+    """An evaluation report file's document, with every field that
+    `padicgz report` reads type-checked; SchemaError otherwise."""
+    where = "report"
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if doc.get("value") is not None:
+        val = _require(doc, "value", where, dict)
+        at = where + ".value"
+        if val.get("zero"):
+            _require(val, "known_mod_p_power", at, int)
+        else:
+            _require(val, "mantissa", at, list)
+            _require(val, "p_power", at, int)
+            _require(val, "mantissa_precision", at, int)
+    if doc.get("agreement_valuation") is not None:
+        for i, row in enumerate(_optional_list(doc, "agreement_table", where)):
+            _require(row, "agreement", f"{where}.agreement_table[{i}]", int)
+        _require(doc, "certified_valuation", where)
+    for i, entry in enumerate(_optional_list(doc, "budget", where)):
+        _require(entry, "op", f"{where}.budget[{i}]")
+        _require(entry, "digits", f"{where}.budget[{i}]", int)
+    _optional_list(doc, "flags", where)
+    return doc
 
 
 def dump(doc: dict) -> str:

@@ -7,6 +7,7 @@ import pytest
 
 from padicgz.cli import main
 from padicgz.formgen import hilbert_eisenstein
+from padicgz.lvalue import verify_gz
 from padicgz.nearlyoc import nabla_pow
 from padicgz.padic import PadicRing
 from padicgz.serialize import context_for, dump, noc_to_dict, read_json
@@ -117,6 +118,41 @@ def test_euler_and_report_render(tmp_path, capsys):
     assert main(["report", "--in", str(rep)]) == 0
     out = capsys.readouterr().out
     assert "kind: lp-balanced" in out and "effective precision" in out
+
+
+REPORT_MALFORMED = {
+    "a list": [1, 2],
+    "value an int": {"kind": "x", "value": 5},
+    "value without mantissa": {"value": {"zero": False}},
+    "zero value without precision": {"value": {"zero": True}},
+    "budget entry a string": {"budget": ["x"]},
+    "budget digits a string": {"budget": [{"op": "x", "digits": "1"}]},
+    "flags a string": {"flags": "abc"},
+    "table row an int": {"agreement_valuation": 3, "certified_valuation": 3,
+                         "agreement_table": [3]},
+    "table an int": {"agreement_valuation": 3, "certified_valuation": 3,
+                     "agreement_table": 3},
+    "certified valuation missing": {"agreement_valuation": 3,
+                                    "agreement_table": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_MALFORMED))
+def test_report_malformed_exit_code(tmp_path, capsys, case):
+    src = tmp_path / "rep.json"
+    src.write_text(json.dumps(REPORT_MALFORMED[case]))
+    assert main(["report", "--in", str(src)]) == 3
+    assert "configuration" in capsys.readouterr().err
+
+
+def test_report_counts_v_degrees(tmp_path, capsys):
+    rep = verify_gz(hilbert_eisenstein(4, context_for(5, 7, 8), 8), (4, 4), 0, 6,
+                    "inert")
+    path = tmp_path / "gz.json"
+    path.write_text(dump(rep.to_dict()))
+    assert main(["report", "--in", str(path)]) == 0
+    rows = len(rep.lhs_agreement_table)
+    assert f"across {rows} V-degrees" in capsys.readouterr().out
 
 
 def test_report_byte_stability(tmp_path):
