@@ -1,0 +1,149 @@
+"""Property tests of HilbertQExp.d_ladder against a per-coefficient oracle.
+
+The oracle raises each sigma_i(beta) to each exponent on its own, with
+pair_pow for integer exponents and ppow for character exponents; it never
+goes through d_char or the ladder.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from padicgz.errors import ConfigError, NonUnitIndex
+from padicgz.formgen import random_depleted, random_form
+from padicgz.nearlyoc import nabla_pow, zeta_star_nabla_pow, zeta_star_noc
+from padicgz.padic import PadicNum, PadicRing, pair_pow, ppow
+from padicgz.serialize import context_for, noc_to_dict
+from padicgz.weights import WeightCharacter
+
+# (D, kind) per prime, with p unramified in Q(sqrt D): each prime both ways
+FIELDS = {
+    3: ((13, "split"), (5, "inert")),
+    5: ((29, "split"), (13, "inert")),
+    7: ((29, "split"), (5, "inert")),
+    11: ((5, "split"), (17, "inert")),
+    13: ((17, "split"), (5, "inert")),
+}
+N = 6
+
+
+@st.composite
+def ladder_cases(draw):
+    p = draw(st.sampled_from(sorted(FIELDS)))
+    D, kind = draw(st.sampled_from(FIELDS[p]))
+    ctx = context_for(D, p, N)
+    assert ctx.sp.kind == kind
+    ring = ctx.ring
+    coord = st.integers(0, ring.modulus - 1)
+    second = coord if ring.degree == 2 else st.just(0)
+    scalar = st.one_of(st.none(), st.builds(ring.make, coord, second))
+    n = draw(st.integers(1, 5))
+    e = draw(st.integers(-4, 4))
+    m = draw(st.one_of(st.none(), st.integers(0, 2)))
+    return {
+        "ctx": ctx,
+        "seed": draw(st.integers(0, 999)),
+        "B": draw(st.integers(1, 6)),
+        "i": draw(st.sampled_from((1, 2))),
+        "e": e,
+        # an analytic exponent u = e + (p - 1) p^m with finite part e
+        "u": None if m is None else e + (p - 1) * p**m,
+        "scalars": draw(st.lists(scalar, min_size=n, max_size=n)),
+        "restrict": draw(st.booleans()),
+    }
+
+
+def _exponent(case):
+    if case["u"] is None:
+        return case["e"]
+    ctx = case["ctx"]
+    ring1 = PadicRing(ctx.p, ctx.N, 1)
+    return WeightCharacter(
+        ring1, ctx.ring.residue_order(), (ring1.from_int(case["u"]),), (case["e"],)
+    )
+
+
+def _oracle(f, case):
+    """Per term: the expected coefficients, by index or by trace."""
+    ring, sp, i, e, u = f.ring, f.ctx.sp, case["i"], case["e"], case["u"]
+    out = []
+    for j, c in enumerate(case["scalars"]):
+        if c is None:
+            out.append(None)
+            continue
+        coeffs = {}
+        for key, v in f.coeffs.items():
+            s = sp.sigma(key, i)
+            if u is None:
+                power = PadicNum(ring, *pair_pow(ring, s.a, s.b, e - j))
+            else:
+                power = ppow(s, u - j, e - j)
+            at = key[1] if case["restrict"] else key
+            coeffs[at] = coeffs.get(at, ring.zero) + c * v * power
+        out.append({k: v for k, v in coeffs.items() if not v.is_zero()})
+    return out
+
+
+def _check(f, case):
+    got = f.d_ladder(case["i"], _exponent(case), case["scalars"], case["restrict"])
+    for term, want in zip(got, _oracle(f, case)):
+        if want is None:
+            assert term is None
+        else:
+            assert term.coeffs == want
+            assert term.bound == f.bound
+
+
+@given(ladder_cases())
+def test_ladder_matches_oracle_on_depleted_input(case):
+    _check(random_depleted(case["seed"], case["ctx"], case["B"]), case)
+
+
+@given(ladder_cases())
+def test_ladder_on_input_not_depleted(case):
+    # every random_form has the index 0 and indices in p, where sigma is no unit
+    f = random_form(case["seed"], case["ctx"], case["B"])
+    live = [j for j, c in enumerate(case["scalars"]) if c is not None]
+    needs_units = case["u"] is not None or any(case["e"] - j < 0 for j in live)
+    if live and needs_units:
+        with pytest.raises(NonUnitIndex):
+            f.d_ladder(case["i"], _exponent(case), case["scalars"], case["restrict"])
+    else:
+        _check(f, case)
+
+
+@given(
+    p=st.sampled_from((7, 11)),
+    seed=st.integers(0, 999),
+    w=st.integers(2, 12),
+    r=st.integers(-5, 2),
+    m=st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_restricted_nabla_pow_matches(p, seed, w, r, m):
+    ctx = context_for(5, p, 8)
+    ring1 = PadicRing(p, 8, 1)
+    tor = ctx.ring.residue_order()
+    g = random_depleted(seed, ctx, 8)
+    k = WeightCharacter.from_classical(ring1, tor, (w, w))
+    if m is None:
+        rc = WeightCharacter.from_classical(ring1, tor, (r, 0))
+    else:
+        u = ring1.from_int(r + (p - 1) * p**m)
+        rc = WeightCharacter(ring1, tor, (u, ring1.zero), (r, 0))
+    want = noc_to_dict(zeta_star_noc(nabla_pow(g, k, rc)))
+    assert noc_to_dict(zeta_star_nabla_pow(g, k, rc)) == want
+
+
+def test_ladder_rejects_mixed_rings_and_torsion():
+    ctx = context_for(5, 7, N)  # inert: residue order 48
+    f = random_depleted(1, ctx, 4)
+    one = ctx.ring.one
+    ring1 = PadicRing(7, N, 1)
+    with pytest.raises(ConfigError):
+        f.d_ladder(1, -1, (one, ring1.one))
+    # finite part mod p - 1 = 6 is ambiguous on the degree-2 ring's units
+    ch = WeightCharacter(ring1, 6, (ring1.from_int(-1),), (-1,))
+    (term,) = f.d_ladder(1, ch, (one,))  # one term takes no step
+    for key, v in f.coeffs.items():
+        assert term.coeff(key) == v * ppow(ctx.sp.sigma(key, 1), ch.u[0], ch.chi[0])
+    with pytest.raises(ConfigError):
+        f.d_ladder(1, ch, (one, one))
