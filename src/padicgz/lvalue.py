@@ -900,10 +900,12 @@ def u_annihilation_certificate(prim: SplitPrimitives) -> list:
         (1, prim.poly_A_hat, prim.g1, ell1),
         (2, prim.poly_B_hat, prim.g2, ell2),
     ):
+        top = elld - 1 - s
+        # d_side^n gbase for n = 0..top, from one ladder
+        powers = gbase.d_ladder(side, top, [gbase.ring.one] * (top + 1))[::-1]
         for (x, y), coef in sorted(poly.items()):
             vp_grade = min(x, y)
-            for n in range(0, elld - 1 - s + 1):
-                d = gbase.d_char(side, n)
+            for n, d in enumerate(powers):
                 piece = d.scale(coef)
                 for _ in range(x):
                     piece = piece.v(1)
