@@ -661,9 +661,10 @@ def lp_balanced(
     at the slope bound a = slope of f* (block.slopes[0], recorded in the
     report config), realized by the pipeline deplete -> nabla_pow and
     diagonal restriction in one ladder (zeta_star_nabla_pow) ->
-    overconvergent projection -> isotypic pairing in the classical basis.  The pairing functional is coordinate
-    extraction at the canonical rows; out-of-span residuals are flagged,
-    not fatal, and the report documents them.
+    overconvergent projection -> isotypic pairing in the classical basis.
+    The pairing functional is coordinate extraction at the canonical rows;
+    out-of-span residuals are flagged, not fatal, and the report documents
+    them.
     """
     config = dict(config or {})
     ell = tuple(ell)

@@ -93,7 +93,9 @@ def _optional_list(doc: dict, field: str, where: str) -> list:
     if value is None:
         return []
     if not isinstance(value, list):
-        raise SchemaError(f"{where}.{field}: expected list, got {type(value).__name__}")
+        raise SchemaError(
+            f"{where}.{field}: expected list, got {type(value).__name__}"
+        )
     return value
 
 
