@@ -172,17 +172,13 @@ class HilbertQExp:
     def d_ladder(self, i: int, exponent, scalars, restrict=False):
         """The terms scalars[j] * d_i^(exponent - j)(self), j = 0..n-1.
 
-        exponent is as in d_char; scalars are ring elements, and a None
-        scalar skips its term (its entry is None).  Each coefficient's
-        powers come from one ladder: one `pair_pow` at the lowest exponent
-        in use, then one int-pair multiply by sigma_i(beta) per step up.
-        No step inverts, so non-unit indices are allowed when every term in
-        use has a non-negative integer exponent.  For a character the steps
-        are exact on units, since the CRT lift of u - j is E - j modulo the
-        unit group's exponent.  Each scalar is applied once per output
-        coefficient.  With restrict the terms come back diagonally
-        restricted, as the elliptic zeta_star of each term, summed straight
-        by trace without building the Hilbert terms.
+        exponent is as in d_char; a None scalar skips its term (entry None).
+        Each coefficient takes one `pair_pow` at the lowest exponent in use
+        and one int-pair multiply by sigma_i(beta) per step up, so non-unit
+        indices are allowed while every term in use has a non-negative
+        integer exponent; for a character the steps are exact on units (the
+        CRT lift of u - j is E - j).  With restrict each term comes back as
+        its elliptic zeta_star, summed by trace without the Hilbert term.
         """
         sp = self.ctx.sp
         ring = self.ring

@@ -202,14 +202,13 @@ def test_report_golden_hashes(tmp_path, command, p):
 
 VERIFY_SHA256 = {
     ("gz-inert", "7"): "e8352491587d6959576edeef49082c5799ac08c818eb54c56e77641ac5f10f0b",
-    ("gz-split", "7"): "4ab2dfb7461858055f58e77f40fbe33159c62f84e3afc02dc0430811755993be",
     ("gz-split", "11"): "9691190450826506e1d78b964818644a837e47abd28f69993abddc23226cf779",
 }
 
 
 @pytest.mark.parametrize("suite,p", sorted(VERIFY_SHA256))
 def test_verify_golden_hashes(tmp_path, capsys, suite, p):
-    # pins the identity-check report bytes; gz-inert needs an inert prime
+    # pins the identity-check report bytes at inert p = 7 and split p = 11
     out = tmp_path / "v.json"
     assert main(["verify", suite, "--D", "5", "--p", p, "--l", "8,8", "--s", "1",
                  "--N", "12", "--B", "21", "--out", str(out)]) == 0
