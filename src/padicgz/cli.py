@@ -15,6 +15,7 @@ from .errors import ConfigError, PadicgzError, PrecisionExhausted, SchemaError
 from .formgen import (
     delta_form,
     demo_basis,
+    eisenstein_roots,
     elliptic_eisenstein,
     hilbert_eisenstein,
     pointcount_newform,
@@ -208,23 +209,13 @@ def _cmd_apply(args) -> int:
 
 def _cmd_euler(args) -> int:
     ring = PadicRing(args.p, args.N)
-    gr = _ints(args.groots)
-    fr = _ints(args.froots)
-    if args.kind == "inert":
-        if len(gr) != 2:
-            raise ConfigError("inert --g-roots needs two integers")
-        gdata = {"alpha": ring.from_int(gr[0]), "beta": ring.from_int(gr[1])}
-    else:
-        if len(gr) != 4:
-            raise ConfigError("split --g-roots needs four integers")
-        gdata = {
-            "alpha1": ring.from_int(gr[0]),
-            "beta1": ring.from_int(gr[1]),
-            "alpha2": ring.from_int(gr[2]),
-            "beta2": ring.from_int(gr[3]),
-        }
-    fdata = {"alpha_star": ring.from_int(fr[0]), "beta_star": ring.from_int(fr[1])}
-    es = euler_factors(gdata, fdata, args.t, args.kind)
+    gr = [ring.from_int(x) for x in _ints(args.groots)]
+    fr = [ring.from_int(x) for x in _ints(args.froots)]
+    if len(gr) != {"inert": 2, "split": 4}[args.kind]:
+        raise ConfigError(f"--kind {args.kind} does not fit {len(gr)} --g-roots")
+    if len(fr) != 2:
+        raise ConfigError(f"--f-roots needs two integers, got {len(fr)}")
+    es = euler_factors(gr, fr, args.t)
     doc = {
         "kind": es.kind,
         "t_F": es.t_F,
@@ -262,17 +253,7 @@ def _demo_inputs(args, ell):
             raise ConfigError("basis file ring does not match the configuration")
     else:
         basis = demo_basis(ring, max(args.B, 2 * args.p))
-    norm = ctx.p if ctx.sp.kind == "split" else ctx.p**2
-    if ctx.sp.kind == "split":
-        roots = (
-            ring.one,
-            ring.from_int(norm ** (ell[0] - 1)),
-            ring.one,
-            ring.from_int(norm ** (ell[0] - 1)),
-        )
-    else:
-        roots = (ring.one, ring.from_int(norm ** (ell[0] - 1)))
-    return ctx, g, basis, roots
+    return ctx, g, basis, eisenstein_roots(ctx, ell[0])
 
 
 def _emit_report(report, out) -> int:
@@ -305,10 +286,7 @@ def _cmd_aj(args) -> int:
     ell = _ints(args.l)
     kind = "split" if args.split else "inert"
     ctx, g, basis, roots = _demo_inputs(args, ell)
-    if ctx.sp.kind != kind:
-        raise ConfigError(
-            f"p = {args.p} is {ctx.sp.kind} in D = {args.D}, not {kind}"
-        )
+    ctx.sp.require(kind)
     rep = aj_value(
         g,
         basis,
@@ -316,7 +294,6 @@ def _cmd_aj(args) -> int:
         roots,
         ell,
         args.s,
-        kind,
         config={"D": args.D, "B": args.B, "command": "aj"},
     )
     return _emit_report(rep, args.out)

@@ -170,11 +170,19 @@ def hilbert_eisenstein(k: int, ctx: QExpContext, B: int) -> HilbertQExp:
     return out
 
 
+def eisenstein_roots(ctx: QExpContext, k: int) -> tuple:
+    """Hecke roots (1, N(P)^(k-1)) of the weight-k Eisenstein series at each
+    prime P above p: (alpha, beta) inert, (alpha1, beta1, alpha2, beta2)
+    split."""
+    ring = ctx.ring
+    pair = (ring.one, ring.from_int(ctx.sp.prime_norm ** (k - 1)))
+    return pair * len(ctx.primes_above_p())
+
+
 def _eisenstein_self_check(E: HilbertQExp, k: int):
     """Verify the T_0-eigen relation at a sample prime over p at build time."""
-    ctx = E.ctx
-    norm = ctx.p if ctx.sp.kind == "split" else ctx.p**2
-    lam = ctx.ring.from_int(1 + norm ** (k - 1))
+    alpha, beta = eisenstein_roots(E.ctx, k)[:2]
+    lam = alpha + beta
     te = E.t(1, k)
     ref = E.scale(lam)
     for key in te.coeffs.keys() | {kk for kk in ref.coeffs if ref.trace(kk) <= te.bound}:

@@ -23,6 +23,7 @@ from .errors import (
 from .nearlyoc import (
     ELLIPTIC,
     NearlyOCExpansion,
+    degree_agreements,
     from_omega_eta,
     oc_project,
     zeta_star_nabla_pow,
@@ -45,42 +46,39 @@ class EulerFactorSet:
     e_fstar: ScaledPadic
     e_p: ScaledPadic
     e_0p: Optional[ScaledPadic]  # split only
-    inputs: dict
 
     def exceptional_zero(self) -> bool:
         return self.e_fstar.is_zero() or self.e_p.is_zero()
 
 
-def euler_factors(gdata: dict, fdata: dict, t_F: int, kind: str) -> EulerFactorSet:
+def euler_factors(g_roots, f_roots, t_F: int) -> EulerFactorSet:
     """The factor set at exponent t_F (balanced case: t_F = -s-1).
 
-    gdata: {'alpha','beta'} (inert) or {'alpha1','beta1','alpha2','beta2'}
-    (split); fdata: {'alpha_star','beta_star'}; all PadicNum.
-    Negative p-powers are carried as scaled values.
+    g_roots are the Hecke roots of g at the primes above p: (alpha, beta)
+    for an inert p, (alpha1, beta1, alpha2, beta2) for a split p, so their
+    number fixes the kind; any other count is a ConfigError.  f_roots are
+    (alpha*, beta*).  All roots are PadicNum; negative p-powers are carried
+    as scaled values.
     """
-    astar = ScaledPadic(fdata["alpha_star"])
-    bstar = ScaledPadic(fdata["beta_star"])
-    ring = fdata["alpha_star"].ring
+    if len(g_roots) not in (2, 4):
+        raise ConfigError(f"{len(g_roots)} g-roots: need 2 (inert) or 4 (split)")
+    gr = [ScaledPadic(r) for r in g_roots]
+    astar = ScaledPadic(f_roots[0])
+    bstar = ScaledPadic(f_roots[1])
+    ring = f_roots[0].ring
     one = ScaledPadic(ring.one)
     pt = ScaledPadic(ring.one, t_F)
     e_fstar = one - bstar / astar
-    if kind == "inert":
-        a, b = ScaledPadic(gdata["alpha"]), ScaledPadic(gdata["beta"])
-        e_p = (one - pt * a / astar) * (one - pt * b / astar)
-        e_0p = None
-    elif kind == "split":
-        roots1 = (ScaledPadic(gdata["alpha1"]), ScaledPadic(gdata["beta1"]))
-        roots2 = (ScaledPadic(gdata["alpha2"]), ScaledPadic(gdata["beta2"]))
-        e_p = one
-        for r1 in roots1:
-            for r2 in roots2:
-                e_p = e_p * (one - pt * r1 * r2 / astar)
-        prod = roots1[0] * roots1[1] * roots2[0] * roots2[1]
-        e_0p = one - ScaledPadic(ring.one, 2 * t_F) * prod / (astar * astar)
-    else:
-        raise ConfigError(f"unknown splitting kind {kind!r}")
-    inputs = {"t_F": t_F, "kind": kind}
-    return EulerFactorSet(kind, t_F, e_fstar, e_p, e_0p, inputs)
+    if len(gr) == 2:
+        e_p = (one - pt * gr[0] / astar) * (one - pt * gr[1] / astar)
+        return EulerFactorSet("inert", t_F, e_fstar, e_p, None)
+    e_p = one
+    for r1 in gr[:2]:
+        for r2 in gr[2:]:
+            e_p = e_p * (one - pt * r1 * r2 / astar)
+    prod = gr[0] * gr[1] * gr[2] * gr[3]
+    e_0p = one - ScaledPadic(ring.one, 2 * t_F) * prod / (astar * astar)
+    return EulerFactorSet("split", t_F, e_fstar, e_p, e_0p)
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +96,19 @@ def _poly_mul(a, b, ring):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _poly_sub(a, b):
+def _poly_add(a, b):
     out = dict(a)
     for k, v in b.items():
-        out[k] = (-v) if k not in out else out[k] - v
+        out[k] = v if k not in out else out[k] + v
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _quadratics(p1, p2, ring):
+    """P1(T1) and P2(T2) from their (lam, c) pairs."""
+    (lam1, c1), (lam2, c2) = p1, p2
+    P1 = {(0, 0): ring.one, (1, 0): -lam1, (2, 0): c1}
+    P2 = {(0, 0): ring.one, (0, 1): -lam2, (0, 2): c2}
+    return P1, P2
 
 
 def _quartic(lam1, c1, lam2, c2, ring):
@@ -125,27 +131,14 @@ def split_poly_decomp(p1, p2, ring: PadicRing):
     supported on monomials x <= y and b1 on x > y.
 
     p1, p2 are the quadratics given as (lam, c) = (alpha+beta, alpha*beta).
-    The closed-form solution is polynomial in the symmetric functions; the
-    returned pair is verified against the defining identity.
+    The pair comes from the three-piece table of split_poly_decomp3:
+    a2 = A + diag P2 and b1 = B; it is verified against the defining
+    identity.
     """
-    lam1, c1 = p1
-    lam2, c2 = p2
-    a2 = {
-        (0, 0): ring.one,
-        (1, 2): -c2 * lam1,
-        (2, 2): -c1 * c2,
-        (2, 3): c1 * c2 * lam2,
-    }
-    b1 = {
-        (1, 0): lam1,
-        (2, 0): -c1,
-        (2, 1): -c1 * lam2,
-        (4, 2): c1 * c1 * c2,
-    }
-    a2 = {k: v for k, v in a2.items() if not v.is_zero()}
-    b1 = {k: v for k, v in b1.items() if not v.is_zero()}
-    _verify_decomp(a2, b1, p1, p2, ring, three_piece=None)
-    return a2, b1
+    diag, A, B = split_poly_decomp3(p1, p2, ring)
+    a2 = _poly_add(A, _poly_mul(diag, _quadratics(p1, p2, ring)[1], ring))
+    _verify_decomp(a2, B, p1, p2, ring, three_piece=None)
+    return a2, B
 
 
 def split_poly_decomp3(p1, p2, ring: PadicRing):
@@ -174,19 +167,11 @@ def split_poly_decomp3(p1, p2, ring: PadicRing):
 
 
 def _verify_decomp(A, B, p1, p2, ring, three_piece):
-    lam1, c1 = p1
-    lam2, c2 = p2
-    P1 = {(0, 0): ring.one, (1, 0): -lam1, (2, 0): c1}
-    P2 = {(0, 0): ring.one, (0, 1): -lam2, (0, 2): c2}
-    target = _quartic(lam1, c1, lam2, c2, ring)
-    got = _poly_mul(A, P1, ring)
-    for k, v in _poly_mul(B, P2, ring).items():
-        got[k] = v if k not in got else got[k] + v
+    P1, P2 = _quadratics(p1, p2, ring)
+    got = _poly_add(_poly_mul(A, P1, ring), _poly_mul(B, P2, ring))
     if three_piece is not None:
-        extra = _poly_mul(_poly_mul(three_piece, P1, ring), P2, ring)
-        for k, v in extra.items():
-            got[k] = v if k not in got else got[k] + v
-    resid = _poly_sub(target, got)
+        got = _poly_add(got, _poly_mul(_poly_mul(three_piece, P1, ring), P2, ring))
+    resid = _poly_add(_quartic(*p1, *p2, ring), {k: -v for k, v in got.items()})
     if resid:
         raise DecompositionFailed(f"decomposition residual at monomials {sorted(resid)}")
     for (x, y) in A:
@@ -355,8 +340,7 @@ def build_split_primitives(
     """
     ctx = g.ctx
     ring = ctx.ring
-    if ctx.sp.kind != "split":
-        raise ConfigError("build_split_primitives needs a split prime")
+    ctx.sp.require("split")
     ell = tuple(ell)
     if ell[0] != ell[1]:
         raise ConfigError("eigen data normalization is pinned for parallel weights")
@@ -448,18 +432,10 @@ def build_split_primitives(
 
 
 def build_h_prime(g: HilbertQExp, ell, s: int, k: int) -> NearlyOCExpansion:
-    """H' from the fully depleted input (split case; build_tau_g reuses it
-    for the inert case)."""
-    gdep = g.deplete("all")
-    return gz_sum(gdep, ell[0], s, k)
-
-
-def build_tau_g(g: HilbertQExp, ell, s: int, k: int) -> NearlyOCExpansion:
-    """tau G from the inert-depleted input; structurally identical to H'
-    with the single inert depletion."""
-    if g.ctx.sp.kind != "inert":
-        raise ConfigError("build_tau_g needs an inert prime")
-    return build_h_prime(g, ell, s, k)
+    """gz_sum of the fully depleted g: H' at a split prime, and at an
+    inert prime tau G, which is the same sum over the single inert
+    depletion."""
+    return gz_sum(g.deplete("all"), ell[0], s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +520,9 @@ def _classify_or_die(ell, s, k):
     return c
 
 
-def verify_gz(g: HilbertQExp, ell, s: int, k: int, kind: str, config=None):
-    """Identity check through two disjoint code paths.
+def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):
+    """Identity check through two disjoint code paths, for the splitting
+    kind of g's prime (g.ctx.sp.kind):
 
     inert:  tau G  ==  (-1)^s s! zeta*(nabla^(-s-1,0) g^[p]),
             exact before any projection;
@@ -556,30 +533,18 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, kind: str, config=None):
     _classify_or_die(tuple(ell), s, k)
     ctx = g.ctx
     ring = ctx.ring
+    kind = ctx.sp.kind
     gdep = g.deplete("all")
     ell_char = _hchar(ctx, ell)
     r_char = _hchar(ctx, (-s - 1, 0))
     scale = ring.from_int((-1) ** s * math.factorial(s))
 
     rhs_noc = zeta_star_nabla_pow(gdep, ell_char, r_char).scale(scale)
-    if kind == "inert":
-        lhs_noc = build_tau_g(g, ell, s, k)
-    elif kind == "split":
-        lhs_noc = build_h_prime(g, ell, s, k)
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
-
-    table = []
-    for deg in sorted(set(lhs_noc.degrees()) | set(rhs_noc.degrees())):
-        a = lhs_noc.terms.get(deg)
-        b = rhs_noc.terms.get(deg)
-        if a is None or b is None:
-            val = min(
-                (v.valuation() for v in (a or b).coeffs.values()), default=ring.N
-            )
-        else:
-            val = agreement_valuation(a, b, min(a.bound, b.bound))
-        table.append({"v_degree": deg[0], "agreement": val})
+    lhs_noc = gz_sum(gdep, ell[0], s, k)
+    table = [
+        {"v_degree": deg[0], "agreement": val}
+        for deg, val in degree_agreements(lhs_noc, rhs_noc)
+    ]
     pre_agreement = min((row["agreement"] for row in table), default=ring.N)
 
     report = EvaluationReport(
@@ -713,7 +678,6 @@ def aj_value(
     roots,
     ell,
     s: int,
-    kind: str,
     config=None,
 ) -> EvaluationReport:
     """The Abel-Jacobi value, defined inside this artifact by the
@@ -723,7 +687,9 @@ def aj_value(
         inert:  E(f*) (1 / E_p)   < e^(<=a) H(tau G), f* > / < f*, f* >
 
     at the slope bound a = slope of f* (block.slopes[0], recorded in the
-    report notes).
+    report notes), for the splitting kind of g's prime (g.ctx.sp.kind).
+    roots are g's Hecke roots at the primes above p, two per prime (see
+    euler_factors); a count that does not fit the prime is a ConfigError.
     The pairing realization is taken at tame level, so the stabilization
     comparison factor E(f*) = 1 - beta*/alpha* is applied explicitly; the
     main-theorem relation against lp_balanced then holds by construction,
@@ -737,23 +703,15 @@ def aj_value(
     config.setdefault("basis", basis_fingerprint(basis))
     ctx = g.ctx
     ring = ctx.ring
+    kind = ctx.sp.kind
     budget = PrecisionBudget(ring.N)
-
-    if kind == "split":
-        gdata = {
-            "alpha1": roots[0],
-            "beta1": roots[1],
-            "alpha2": roots[2],
-            "beta2": roots[3],
-        }
-        gz_noc = build_h_prime(g, ell, s, k)
-    elif kind == "inert":
-        gdata = {"alpha": roots[0], "beta": roots[1]}
-        gz_noc = build_tau_g(g, ell, s, k)
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
-    fdata = {"alpha_star": block.alpha, "beta_star": block.beta}
-    euler = euler_factors(gdata, fdata, -s - 1, kind)
+    want = 2 * len(ctx.primes_above_p())
+    if len(roots) != want:
+        raise ConfigError(
+            f"{kind} p = {ctx.p} needs {want} Hecke roots, got {len(roots)}"
+        )
+    gz_noc = build_h_prime(g, ell, s, k)
+    euler = euler_factors(roots, (block.alpha, block.beta), -s - 1)
     report = EvaluationReport(
         kind=f"aj-{kind}",
         config={
@@ -862,14 +820,7 @@ def verify_e0p_relation(
     pair2 = pair2 * ScaledPadic(ring.one, -corr.shift)
 
     lhs = pair0 - kappa * kappa * pair2
-    fdata = {"alpha_star": block.alpha, "beta_star": block.beta}
-    gdata = {
-        "alpha1": prim.roots[0],
-        "beta1": prim.roots[1],
-        "alpha2": prim.roots[2],
-        "beta2": prim.roots[3],
-    }
-    euler = euler_factors(gdata, fdata, -s - 1, "split")
+    euler = euler_factors(prim.roots, (block.alpha, block.beta), -s - 1)
     hp = oc_project(gz_sum(prim.g_pp, ell1, s, k), k)
     pair_hp, _, _ = eigen_pair(hp.form, basis, block, on_residual="flag")
     pair_hp = pair_hp * ScaledPadic(ring.one, -hp.shift)

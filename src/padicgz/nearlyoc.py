@@ -376,6 +376,23 @@ def oc_project(gamma: NearlyOCExpansion, k: int = None) -> OCProjection:
     return OCProjection(out, budget, shift)
 
 
+def degree_agreements(a: NearlyOCExpansion, b: NearlyOCExpansion) -> list:
+    """(V-degree, valuation of the difference) for every V-degree of either
+    expansion, in degree order; a degree on one side only is measured by
+    that side's least coefficient valuation (N when it has none)."""
+    out = []
+    for deg in sorted(set(a.degrees()) | set(b.degrees())):
+        ca, cb = a.terms.get(deg), b.terms.get(deg)
+        if ca is None or cb is None:
+            only = ca or cb
+            vals = (v.valuation() for v in only.coeffs.values())
+            val = min(vals, default=only.ring.N)
+        else:
+            val = agreement_valuation(ca, cb, min(ca.bound, cb.bound))
+        out.append((deg, val))
+    return out
+
+
 def noc_agreement(a: NearlyOCExpansion, b: NearlyOCExpansion) -> int:
     """Minimal valuation of the difference across all V-degrees; N when the
     two expansions agree exactly at working precision."""
@@ -384,15 +401,4 @@ def noc_agreement(a: NearlyOCExpansion, b: NearlyOCExpansion) -> int:
     ring = a.ring or b.ring
     if ring is None:
         return 0
-    best = ring.N
-    for deg in sorted(set(a.degrees()) | set(b.degrees())):
-        ca, cb = a.terms.get(deg), b.terms.get(deg)
-        if ca is None:
-            vals = [v.valuation() for v in cb.coeffs.values()]
-            best = min(best, min(vals, default=ring.N))
-        elif cb is None:
-            vals = [v.valuation() for v in ca.coeffs.values()]
-            best = min(best, min(vals, default=ring.N))
-        else:
-            best = min(best, agreement_valuation(ca, cb, min(ca.bound, cb.bound)))
-    return best
+    return min((val for _, val in degree_agreements(a, b)), default=ring.N)

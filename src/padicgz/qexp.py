@@ -284,8 +284,7 @@ class HilbertQExp:
     def t(self, which: int, weight: int, nebentype=1):
         """Normalized Hecke operator T_0 = U_0 + c V_0 at a prime above p,
         with c = N(prime)^(weight-1) * nebentype for parallel weight."""
-        sp = self.ctx.sp
-        norm = sp.p if sp.kind == "split" else sp.p**2
+        norm = self.ctx.sp.prime_norm
         c = self.ctx.ring.from_int(norm ** (weight - 1)) * nebentype
         return self.u(which) + self.v(which).scale(c)
 

@@ -158,6 +158,7 @@ class PrimeSplitting:
 
     Split: sigma_i are maps into Z/p^N with sigma_i(pi_i) of valuation 1.
     Inert: sigma_1 maps into the quadratic extension, sigma_2 = Frob o sigma_1.
+    prime_norm is the norm of a prime above p: p split, p^2 inert.
     """
 
     def __init__(self, field: RealQuadraticField, p: int, N: int):
@@ -171,10 +172,12 @@ class PrimeSplitting:
         D = field.D
         if pow(D % p, (p - 1) // 2, p) == 1:
             self.kind = "split"
+            self.prime_norm = p
             self.ring = PadicRing(p, N, 1)
             self._sqrtD = hensel_sqrt(D, p, N)
         else:
             self.kind = "inert"
+            self.prime_norm = p * p
             self.ring = PadicRing(p, N, 2)
             # sqrt(D) = w * X with w = sqrt(D / X^2) in Z/p^N
             c = self.ring.nonresidue
@@ -232,6 +235,13 @@ class PrimeSplitting:
         val = self.embed(key, which) * inv
         self._cache[key, which] = val
         return val
+
+    def require(self, kind: str):
+        """ConfigError unless p has the splitting kind a caller names."""
+        if kind != self.kind:
+            raise ConfigError(
+                f"p = {self.p} is {self.kind} in D = {self.field.D}, not {kind}"
+            )
 
     def in_prime(self, x, which: int) -> bool:
         """Whether the index lies in p_which (inert: in (p))."""

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .formgen import (
     delta_form,
     demo_basis,
+    eisenstein_roots,
     hilbert_eisenstein,
     random_depleted,
     random_form,
@@ -171,13 +172,14 @@ def suite_gz_inert(D=5, p=7, N=12, B=40, s_values=(0, 1, 2), deltas=(0, 2, 4)):
     over the (s, delta) grid of parallel weights, exact on all coefficients."""
     t0 = time.perf_counter()
     ctx = context_for(D, p, N)
+    ctx.sp.require("inert")
     details = []
     for s in s_values:
         for d in deltas:
             w = s + 2 + d
             k = 2 * d + 2
             g = hilbert_eisenstein(w, ctx, B)
-            rep = verify_gz(g, (w, w), s, k, "inert")
+            rep = verify_gz(g, (w, w), s, k)
             details.append(
                 {
                     "ell": [w, w],
@@ -197,12 +199,13 @@ def suite_gz_split(D=5, p=11, N=12, B=40, ell=(8, 8), s_values=(0, 1)):
     projection, with the denominator budget reported and bounded."""
     t0 = time.perf_counter()
     ctx = context_for(D, p, N)
+    ctx.sp.require("split")
     g = hilbert_eisenstein(ell[0], ctx, B)
     details = []
     ok = True
     for s in s_values:
         k = ell[0] + ell[1] - 2 * (s + 1)
-        rep = verify_gz(g, ell, s, k, "split")
+        rep = verify_gz(g, ell, s, k)
         denom_loss = rep.notes[0]["denominator_loss"]
         details.append(
             {
@@ -224,6 +227,8 @@ def suite_decomposition(D=5, p=11, N=12, B=40, tuples=50, seed=77):
     random root tuples, and the split decomposition identity on the
     Eisenstein eigenform (verified inside build_split_primitives)."""
     t0 = time.perf_counter()
+    ctx = context_for(D, p, N)
+    ctx.sp.require("split")
     ring = PadicRing(p, 10)
     rng = random.Random(seed)
     details = []
@@ -235,12 +240,9 @@ def suite_decomposition(D=5, p=11, N=12, B=40, tuples=50, seed=77):
         a2, b1 = split_poly_decomp(p1, p2, ring)  # raises on any failure
         ok &= all(x <= y for (x, y) in a2) and all(x > y for (x, y) in b1)
     details.append({"random_tuples": tuples, "monomial_split": ok})
-    ctx = context_for(D, p, N)
     g = hilbert_eisenstein(8, ctx, B)
-    ring = ctx.ring
-    roots = (ring.one, ring.from_int(p**7), ring.one, ring.from_int(p**7))
     try:
-        build_split_primitives(g, roots, (8, 8), 1, 12)
+        build_split_primitives(g, eisenstein_roots(ctx, 8), (8, 8), 1, 12)
         details.append({"decomposition_identity": "exact on effective bound"})
     except Exception as e:  # noqa: BLE001 - reported, not swallowed
         details.append({"decomposition_identity": f"FAILED: {e}"})
@@ -253,6 +255,7 @@ def suite_vanishing(D=5, p=11, N=12, B=40, count=20):
     inputs, and the U-annihilation certificate for e(tau H1 + tau H2) = 0."""
     t0 = time.perf_counter()
     ctx = context_for(D, p, N)
+    ctx.sp.require("split")
     details = []
     ok = True
     fails = 0
@@ -266,9 +269,7 @@ def suite_vanishing(D=5, p=11, N=12, B=40, count=20):
     ok &= fails == 0
     details.append({"u_zeta_v_checks": 2 * count, "failures": fails})
     g = hilbert_eisenstein(8, ctx, B)
-    ring = ctx.ring
-    roots = (ring.one, ring.from_int(p**7), ring.one, ring.from_int(p**7))
-    prim = build_split_primitives(g, roots, (8, 8), 1, 12)
+    prim = build_split_primitives(g, eisenstein_roots(ctx, 8), (8, 8), 1, 12)
     certs = u_annihilation_certificate(prim)
     bad = [c for c in certs if not c["ok"]]
     details.append({"graded_pieces": len(certs), "failures": len(bad)})
@@ -355,14 +356,9 @@ def suite_end_to_end(D=5, N=12, B=40):
             g = hilbert_eisenstein(8, ctx, B)
             basis = demo_basis(ring, B)
             block = basis.blocks[1]
-            if kind == "split":
-                roots = (ring.one, ring.from_int(p**7), ring.one, ring.from_int(p**7))
-            else:
-                roots = (ring.one, ring.from_int(p**14))
+            roots = eisenstein_roots(ctx, 8)
             lp = lp_balanced(g, basis, block, (8, 8), 1, config={"D": D, "B": B})
-            aj = aj_value(
-                g, basis, block, roots, (8, 8), 1, kind, config={"D": D, "B": B}
-            )
+            aj = aj_value(g, basis, block, roots, (8, 8), 1, config={"D": D, "B": B})
             runs.append((lp, aj, dump(lp.to_dict()) + dump(aj.to_dict())))
         reproducible = runs[0][2] == runs[1][2]
         lp, aj, _ = runs[0]
@@ -445,18 +441,10 @@ def suite_euler_table(p=7, N=8):
     details = []
     ok = True
     for i, (kind, t, g, f, expected) in enumerate(table):
-        if kind == "inert":
-            gdata = {"alpha": ring.from_int(g[0]), "beta": ring.from_int(g[1])}
-        else:
-            gdata = {
-                "alpha1": ring.from_int(g[0]),
-                "beta1": ring.from_int(g[1]),
-                "alpha2": ring.from_int(g[2]),
-                "beta2": ring.from_int(g[3]),
-            }
-        fdata = {"alpha_star": ring.from_int(f[0]), "beta_star": ring.from_int(f[1])}
-        es = euler_factors(gdata, fdata, t, kind)
-        good = es.e_fstar == _frac_to_scaled(expected[0], ring)
+        g_roots = [ring.from_int(x) for x in g]
+        es = euler_factors(g_roots, [ring.from_int(x) for x in f], t)
+        good = es.kind == kind
+        good &= es.e_fstar == _frac_to_scaled(expected[0], ring)
         good &= es.e_p == _frac_to_scaled(expected[1], ring)
         if expected[2] is not None:
             good &= es.e_0p == _frac_to_scaled(expected[2], ring)

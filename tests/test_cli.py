@@ -106,6 +106,53 @@ def test_verify_exit_codes(capsys):
     assert "PASS gz-inert" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite,p,named,other", [
+    ("gz-split", "7", "split", "inert"),
+    ("gz-inert", "11", "inert", "split"),
+    ("decomposition", "7", "split", "inert"),
+    ("vanishing", "7", "split", "inert"),
+])
+def test_verify_wrong_prime_exit_code(capsys, suite, p, named, other):
+    # a suite of one splitting kind is never reported as checked (or as an
+    # identity failure) on a prime of the other kind
+    rc = main(["verify", suite, "--D", "5", "--p", p, "--l", "8,8", "--s", "1",
+               "--N", "12", "--B", "21"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert f"p = {p} is {other} in D = 5, not {named}" in captured.err
+
+
+EULER_SHA256 = {
+    "inert": "ff9e94e915470acb6862f783dbbaff008f909028fc9b5797d96a63c43a9cbf9c",
+    "split": "e900dc5618fa1ab9a2ceb5c3978aca0dbd08ab178a1dda204628780d57056b63",
+}
+EULER_ARGS = {
+    "inert": ["--g-roots", "2,3", "--f-roots", "5,1", "--t", "-1"],
+    "split": ["--g-roots", "2,3,5,1", "--f-roots", "4,2", "--t", "1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EULER_SHA256))
+def test_euler_golden_hashes(capsys, kind):
+    # pins the euler stdout bytes of one inert and one split factor set
+    assert main(["euler", "--kind", kind, *EULER_ARGS[kind], "--p", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EULER_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind,groots,froots", [
+    ("inert", "1,2,3,4", "5,1"),
+    ("split", "1,2,3", "5,1"),
+    ("inert", "2,3", "5"),
+    ("split", "2,3,5,1", "4,2,1"),
+])
+def test_euler_root_counts_exit_code(capsys, kind, groots, froots):
+    assert main(["euler", "--kind", kind, "--g-roots", groots, "--f-roots", froots,
+                 "--t", "0", "--p", "7"]) == 3
+    assert "configuration" in capsys.readouterr().err
+
+
 def test_euler_and_report_render(tmp_path, capsys):
     assert main(["euler", "--kind", "split", "--t", "0",
                  "--g-roots", "0,0,0,0", "--f-roots", "1,0", "--p", "7"]) == 0
@@ -146,8 +193,7 @@ def test_report_malformed_exit_code(tmp_path, capsys, case):
 
 
 def test_report_counts_v_degrees(tmp_path, capsys):
-    rep = verify_gz(hilbert_eisenstein(4, context_for(5, 7, 8), 8), (4, 4), 0, 6,
-                    "inert")
+    rep = verify_gz(hilbert_eisenstein(4, context_for(5, 7, 8), 8), (4, 4), 0, 6)
     path = tmp_path / "gz.json"
     path.write_text(dump(rep.to_dict()))
     assert main(["report", "--in", str(path)]) == 0

@@ -7,6 +7,7 @@ import pytest
 from padicgz.errors import BadPrime, ConfigError, SingularCurve
 from padicgz.formgen import (
     delta_form,
+    eisenstein_roots,
     elliptic_eisenstein,
     hilbert_eisenstein,
     pointcount_newform,
@@ -83,6 +84,14 @@ def test_hilbert_eisenstein_values():
     # a at phi/sqrt5: unit ideal only
     assert E2.coeff((0, 1)) == CTX11.ring.one
     assert E2.zeta_star().coeff(1) == CTX11.ring.from_int(2)
+
+
+def test_eisenstein_roots():
+    # (1, N(P)^(k-1)) at each prime P above p: N(P) = 11 split, 7^2 inert
+    r11, r7 = CTX11.ring, CTX7.ring
+    big = r11.from_int(11**7)
+    assert eisenstein_roots(CTX11, 8) == (r11.one, big, r11.one, big)
+    assert eisenstein_roots(CTX7, 8) == (r7.one, r7.from_int(7**14))
 
 
 def test_hilbert_eisenstein_odd_weight_stream():

@@ -11,7 +11,6 @@ from padicgz.lvalue import (
     apply_vpoly,
     build_split_primitives,
     build_h_prime,
-    build_tau_g,
     euler_factors,
     gz_sum,
     kappa_empirical,
@@ -38,9 +37,9 @@ R7 = CTX7.ring
 
 def test_euler_inert_hand_value():
     ring = PadicRing(7, 8)
-    gdata = {"alpha": ring.from_int(2), "beta": ring.from_int(3)}
-    fdata = {"alpha_star": ring.from_int(5), "beta_star": ring.from_int(1)}
-    es = euler_factors(gdata, fdata, 0, "inert")
+    g_roots = (ring.from_int(2), ring.from_int(3))
+    es = euler_factors(g_roots, (ring.from_int(5), ring.from_int(1)), 0)
+    assert es.kind == "inert" and es.e_0p is None
     # (1 - 2/5)(1 - 3/5) = 6/25
     expect = ScaledPadic(ring.from_int(6) * ring.from_int(25).inv())
     assert es.e_p == expect
@@ -50,25 +49,28 @@ def test_euler_inert_hand_value():
 def test_euler_exceptional_zero_and_trivial():
     ring = PadicRing(7, 8)
     z, o = ring.zero, ring.one
-    fdata = {"alpha_star": o, "beta_star": o}
-    es = euler_factors({"alpha": z, "beta": z}, fdata, 0, "inert")
+    es = euler_factors((z, z), (o, o), 0)
     assert es.exceptional_zero()
-    fdata = {"alpha_star": o, "beta_star": z}
-    es = euler_factors(
-        {"alpha1": z, "beta1": z, "alpha2": z, "beta2": z}, fdata, 0, "split"
-    )
+    es = euler_factors((z, z, z, z), (o, z), 0)
+    assert es.kind == "split"
     assert es.e_p == ScaledPadic(o) and es.e_0p == ScaledPadic(o)
     assert es.e_fstar == ScaledPadic(o)
 
 
 def test_euler_negative_power_carried():
     ring = PadicRing(7, 8)
-    gdata = {"alpha": ring.one, "beta": ring.from_int(7)}
-    fdata = {"alpha_star": ring.one, "beta_star": ring.from_int(7)}
-    es = euler_factors(gdata, fdata, -2, "inert")
-    # 1 - p^-2: exponent -2 mantissa p^2 - 1
-    assert es.e_p.exponent == -4 or es.e_p.exponent == -3  # product of two factors
-    assert not es.e_p.is_zero()
+    es = euler_factors((ring.one, ring.from_int(7)), (ring.one, ring.from_int(7)), -2)
+    # (1 - 7^-2)(1 - 7^-1) = 48 * 6 / 7^3, the mantissa known to 7 digits
+    assert es.e_p.mantissa == ring.from_int(288)
+    assert es.e_p.exponent == -3
+    assert es.e_p.prec == 7
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 5])
+def test_euler_root_count_checked(count):
+    ring = PadicRing(7, 8)
+    with pytest.raises(ConfigError):
+        euler_factors((ring.one,) * count, (ring.one, ring.one), 0)
 
 
 def test_split_poly_decomp_random_roots():
@@ -157,14 +159,16 @@ def test_split_primitives_s_range_guard():
 
 def test_verify_gz_inert():
     g = hilbert_eisenstein(8, CTX7, 30)
-    rep = verify_gz(g, (8, 8), 1, 12, "inert")
+    rep = verify_gz(g, (8, 8), 1, 12)
+    assert rep.kind == "gz-inert"
     assert rep.passed
     assert rep.agreement_valuation == N
     assert all(row["agreement"] == N for row in rep.lhs_agreement_table)
 
 
 def test_verify_gz_split():
-    rep = verify_gz(E88_11, (8, 8), 1, 12, "split")
+    rep = verify_gz(E88_11, (8, 8), 1, 12)
+    assert rep.kind == "gz-split"
     assert rep.passed
     assert rep.agreement_valuation >= rep.certified_valuation
     # no 11-adic denominator losses at k = 12
@@ -174,7 +178,7 @@ def test_verify_gz_split():
 def test_verify_gz_s_range_guard():
     g = hilbert_eisenstein(4, CTX7, 20)
     with pytest.raises(ConfigError):
-        verify_gz(g, (4, 4), 3, 0, "inert")
+        verify_gz(g, (4, 4), 3, 0)
 
 
 def test_u_annihilation_certificate():
@@ -197,7 +201,8 @@ def test_lp_and_aj_consistency_split():
     basis = demo_basis(R11, 40)
     block = basis.blocks[1]
     lp = lp_balanced(E88_11, basis, block, (8, 8), 1)
-    aj = aj_value(E88_11, basis, block, ROOTS_11, (8, 8), 1, "split")
+    aj = aj_value(E88_11, basis, block, ROOTS_11, (8, 8), 1)
+    assert aj.kind == "aj-split"
     resid = main_theorem_residual(lp, aj, 1)
     assert resid.is_zero(), resid
     assert lp.value is not None and aj.value is not None
@@ -209,9 +214,23 @@ def test_lp_and_aj_consistency_inert():
     block = basis.blocks[1]
     roots = (R7.one, R7.from_int(7**14))
     lp = lp_balanced(g, basis, block, (8, 8), 1)
-    aj = aj_value(g, basis, block, roots, (8, 8), 1, "inert")
+    aj = aj_value(g, basis, block, roots, (8, 8), 1)
+    assert aj.kind == "aj-inert"
     resid = main_theorem_residual(lp, aj, 1)
     assert resid.is_zero(), resid
+
+
+def test_aj_root_count_must_fit_prime():
+    # two roots are an inert prime's; p = 11 splits in Q(sqrt 5)
+    basis = demo_basis(R11, 40)
+    with pytest.raises(ConfigError, match="needs 4 Hecke roots, got 2"):
+        aj_value(E88_11, basis, basis.blocks[1], ROOTS_11[:2], (8, 8), 1)
+
+
+def test_split_primitives_need_split_prime():
+    g = hilbert_eisenstein(8, CTX7, 20)
+    with pytest.raises(ConfigError, match="p = 7 is inert in D = 5, not split"):
+        build_split_primitives(g, ROOTS_11, (8, 8), 1, 12)
 
 
 def test_lp_linear_in_g():
@@ -235,7 +254,7 @@ def test_gz_sum_term_count():
 
 def test_verify_gz_unit_scaling_invariance():
     g = hilbert_eisenstein(6, CTX7, 24)
-    rep1 = verify_gz(g, (6, 6), 1, 8, "inert")
-    rep2 = verify_gz(g.scale(R7.from_int(3)), (6, 6), 1, 8, "inert")
+    rep1 = verify_gz(g, (6, 6), 1, 8)
+    rep2 = verify_gz(g.scale(R7.from_int(3)), (6, 6), 1, 8)
     assert rep1.passed and rep2.passed
     assert rep1.agreement_valuation == rep2.agreement_valuation
