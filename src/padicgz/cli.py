@@ -311,7 +311,7 @@ def _cmd_verify(args) -> int:
             D=args.D, p=args.p, N=args.N, B=args.B, ell=ell, s_values=(args.s,)
         )
     elif args.suite == "operators":
-        res = suites.suite_operators(D=args.D, N=args.N, B=args.B)
+        res = suites.suite_operators(D=args.D, primes=(args.p,), N=args.N, B=args.B)
     elif args.suite == "decomposition":
         res = suites.suite_decomposition(D=args.D, p=args.p, N=args.N, B=args.B)
     elif args.suite == "vanishing":

@@ -7,6 +7,11 @@ c_j * d_i^(e - j) for consecutive j come from one power per coefficient
 and one int-pair multiply per step, each term optionally restricted to
 the diagonal as it is summed; `d_char` is its one-term case.
 
+Both products run on packed rows (`_product`): each trace row of
+coefficients becomes one big integer per coordinate, in slots too wide to
+carry, so a pair of rows costs one integer multiply per partial product;
+an elliptic expansion is a single row, indexed by n.
+
 Coefficients are sparse maps from index keys to p-adic numbers; absent
 keys are zero.  Hilbert indices have one convention ('dinv', see
 `quadfield`): the key (a, b) is the element (a + b*phi)/sqrt(D) of the
@@ -63,11 +68,7 @@ class HilbertQExp:
         check_support(support)
         self.ctx = ctx
         self.bound = bound
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not v.is_zero():
-                    self.coeffs[k] = v
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if not v.is_zero()}
         self.weight_tag = weight_tag
 
     # -- plumbing -------------------------------------------------------
@@ -130,23 +131,7 @@ class HilbertQExp:
     def __mul__(self, other):
         self._compat(other)
         b = min(self.bound, other.bound)
-        out = {}
-        by_trace = {}
-        for k, v in other.coeffs.items():
-            by_trace.setdefault(k[1], []).append((k, v))
-        for k1, v1 in self.coeffs.items():
-            t1 = k1[1]
-            if t1 > b:
-                continue
-            for t2, items in by_trace.items():
-                if t1 + t2 > b:
-                    continue
-                for k2, v2 in items:
-                    key = (k1[0] + k2[0], k1[1] + k2[1])
-                    prod = v1 * v2
-                    s = out.get(key)
-                    out[key] = prod if s is None else s + prod
-        return self._like(out, bound=b)
+        return self._like(_product(self.ring, self.coeffs, other.coeffs, b), bound=b)
 
     def scale(self, c):
         return self._like({k: v * c for k, v in self.coeffs.items()})
@@ -314,11 +299,7 @@ class EllipticQExp:
     def __init__(self, ring, bound, coeffs=None, weight_tag=None):
         self.ring = ring
         self.bound = bound
-        self.coeffs = {}
-        if coeffs:
-            for n, v in coeffs.items():
-                if not v.is_zero():
-                    self.coeffs[n] = v
+        self.coeffs = {n: v for n, v in (coeffs or {}).items() if not v.is_zero()}
         self.weight_tag = weight_tag
 
     def _like(self, coeffs, bound=None, weight_tag=None):
@@ -364,17 +345,10 @@ class EllipticQExp:
     def __mul__(self, other):
         self._compat(other)
         b = min(self.bound, other.bound)
-        out = {}
-        for n1, v1 in self.coeffs.items():
-            if n1 > b:
-                continue
-            for n2, v2 in other.coeffs.items():
-                if n1 + n2 > b:
-                    continue
-                prod = v1 * v2
-                s = out.get(n1 + n2)
-                out[n1 + n2] = prod if s is None else s + prod
-        return self._like(out, bound=b)
+        f = {(n, 0): v for n, v in self.coeffs.items() if n <= b}
+        g = {(n, 0): v for n, v in other.coeffs.items()}
+        out = _product(self.ring, f, g, float("inf"), cap=b)
+        return self._like({k[0]: v for k, v in out.items()}, bound=b)
 
     def scale(self, c):
         return self._like({n: v * c for n, v in self.coeffs.items()})
@@ -421,10 +395,7 @@ class EllipticQExp:
 
     def t(self, weight: int, nebentype=1):
         c = self.ring.from_int(self.ring.p ** (weight - 1)) * nebentype
-        uu = self.u()
-        vv = self.v()
-        summed = uu + vv.scale(c)
-        return summed
+        return self.u() + self.v().scale(c)
 
     def truncated(self, bound: int):
         if bound > self.bound:
@@ -433,6 +404,55 @@ class EllipticQExp:
             {n: v for n, v in self.coeffs.items() if n <= bound}, bound=bound
         )
 
+
+def _product(ring, f, g, bound, cap=float("inf")):
+    """Product of coefficient maps keyed (column, row), by packed rows.
+
+    Keys pair when f's row is at most bound and the rows sum to at most it;
+    output columns above cap are dropped.  Column a of a row sits in slot
+    a - lo (lo the row's least column) of w bits, room for min(#f, #g)
+    products below (p^N)^2, or twice that for a*b' + b*a'.  Only nonzero
+    slots are unpacked; X^2 = c and the reduction mod p^N apply there.
+    """
+    m, c = ring.modulus, ring.nonresidue or 0
+    w = (ring.degree * min(len(f), len(g)) * (m - 1) ** 2).bit_length()
+
+    def rows(coeffs, top):
+        grouped = {}
+        for (a, t), v in coeffs.items():
+            if t <= top:
+                grouped.setdefault(t, []).append((a, v.a, v.b))
+        for t, items in grouped.items():
+            lo, x, y = min(items)[0], 0, 0
+            for a, va, vb in items:
+                x, y = x | va << w * (a - lo), y | vb << w * (a - lo)
+            yield t, lo, x, y
+
+    acc, grows = {}, list(rows(g, float("inf")))
+    for t1, lo1, x1, y1 in rows(f, bound):
+        for t2, lo2, x2, y2 in grows:
+            if t1 + t2 <= bound:
+                acc.setdefault(t1 + t2, []).append(
+                    (lo1 + lo2, x1 * x2, y1 * y2, x1 * y2 + y1 * x2)
+                )
+    out, mask = {}, (1 << w) - 1
+    for t, parts in acc.items():
+        lo, xx, yy, xy = min(parts)[0], 0, 0, 0
+        for base, p, q, r in parts:
+            s = w * (base - lo)
+            xx, yy, xy = xx + (p << s), yy + (q << s), xy + (r << s)
+        z = xx | yy | xy
+        while z:
+            s = ((z & -z).bit_length() - 1) // w * w
+            a = lo + s // w
+            if a > cap:
+                break
+            ra = ((xx >> s & mask) + c * (yy >> s & mask)) % m
+            rb = (xy >> s & mask) % m
+            if ra or rb:
+                out[(a, t)] = PadicNum(ring, ra, rb)
+            z = z >> (s + w) << (s + w)
+    return out
 
 def _power_exponent(exponent, ring):
     """(E, character) for d_char: the integer power E on the ring's units,

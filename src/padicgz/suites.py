@@ -58,8 +58,8 @@ def _result(name, passed, t0, details):
 
 
 def _sparse_random(seed, ctx, B, size=25):
-    """Random form supported on `size` totally positive indices; fast to
-    multiply, still seeded and reproducible."""
+    """Random form supported on `size` totally positive indices, seeded and
+    reproducible: most of its trace rows hold one coefficient or none."""
     from .quadfield import tot_pos_enum
     from .qexp import HilbertQExp
 
@@ -79,8 +79,8 @@ def suite_operators(D=5, primes=(7, 11), N=12, B=40, count=100):
     """Criterion 1: the operator algebra on seeded random forms.
 
     Coefficientwise identities run on dense bound-B forms; the two
-    multiplicative identities (Leibniz, diagonal-restriction ring map)
-    run on sparse seeded forms so the whole battery stays fast."""
+    multiplicative identities (Leibniz, diagonal-restriction ring map) run
+    on sparse seeded pairs, and on dense pairs for every 25th seed."""
     t0 = time.perf_counter()
     details = []
     ok = True
@@ -89,9 +89,10 @@ def suite_operators(D=5, primes=(7, 11), N=12, B=40, count=100):
         failures = 0
         for seed in range(count):
             f = random_form(10_000 + seed, ctx, B)
+            f1, f2 = f.d(1), f.d(2)
             good = True
             # d1 d2 commutation
-            good &= f.d(1).d(2) == f.d(2).d(1)
+            good &= f1.d(2) == f2.d(1)
             # U V = id and (1 - V U) = depletion, per prime above p
             for i in ctx.primes_above_p():
                 uv = f.v(i).u(i)
@@ -102,14 +103,17 @@ def suite_operators(D=5, primes=(7, 11), N=12, B=40, count=100):
             dep_all = f.deplete()
             good &= dep_all.deplete() == dep_all
             # d zeta* = zeta* (d1 + d2)
-            good &= f.zeta_star().d() == (f.d(1) + f.d(2)).zeta_star()
-            # multiplicative identities on sparse forms
-            a = _sparse_random(20_000 + seed, ctx, B)
-            b = _sparse_random(30_000 + seed, ctx, B)
-            ab = a * b
-            good &= ab.d(1) == a.d(1) * b + a * b.d(1)
-            good &= ab.d(2) == a.d(2) * b + a * b.d(2)
-            good &= ab.zeta_star() == a.zeta_star() * b.zeta_star()
+            good &= f.zeta_star().d() == (f1 + f2).zeta_star()
+            # multiplicative identities
+            pairs = [(_sparse_random(20_000 + seed, ctx, B),
+                      _sparse_random(30_000 + seed, ctx, B))]
+            if seed % 25 == 0:
+                pairs.append((f, random_form(40_000 + seed, ctx, B)))
+            for a, b in pairs:
+                ab = a * b
+                good &= ab.d(1) == a.d(1) * b + a * b.d(1)
+                good &= ab.d(2) == a.d(2) * b + a * b.d(2)
+                good &= ab.zeta_star() == a.zeta_star() * b.zeta_star()
             if not good:
                 failures += 1
                 ok = False

@@ -106,6 +106,14 @@ def test_verify_exit_codes(capsys):
     assert "PASS gz-inert" in capsys.readouterr().out
 
 
+def test_verify_operators_runs_the_named_prime(tmp_path, capsys):
+    out = tmp_path / "ops.json"
+    assert main(["verify", "operators", "--p", "13", "--D", "5", "--N", "4",
+                 "--B", "6", "--out", str(out)]) == 0
+    assert "PASS operators" in capsys.readouterr().out
+    assert read_json(out)["details"] == [{"p": 13, "forms": 100, "failures": 0}]
+
+
 @pytest.mark.parametrize("suite,p,named,other", [
     ("gz-split", "7", "split", "inert"),
     ("gz-inert", "11", "inert", "split"),
