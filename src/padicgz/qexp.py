@@ -411,14 +411,14 @@ def _product(ring, f, g, bound, cap=float("inf")):
     Keys pair when f's row is at most bound and the rows sum to at most it;
     output columns above cap are dropped.  Column a of a row sits in slot
     a - lo (lo the row's least column) of w bits, room for min(#f, #g)
-    products below (p^N)^2, or twice that for a*b' + b*a'.  Only nonzero
-    slots are unpacked; X^2 = c and the reduction mod p^N apply there.
+    products below (p^N)^2, or twice that for a*b' + b*a'.  Each output row
+    is summed, then unpacked at its nonzero slots with X^2 = c, mod p^N.
     """
     m, c = ring.modulus, ring.nonresidue or 0
     w = (ring.degree * min(len(f), len(g)) * (m - 1) ** 2).bit_length()
 
     def rows(coeffs, top):
-        grouped = {}
+        grouped, packed = {}, {}
         for (a, t), v in coeffs.items():
             if t <= top:
                 grouped.setdefault(t, []).append((a, v.a, v.b))
@@ -426,21 +426,21 @@ def _product(ring, f, g, bound, cap=float("inf")):
             lo, x, y = min(items)[0], 0, 0
             for a, va, vb in items:
                 x, y = x | va << w * (a - lo), y | vb << w * (a - lo)
-            yield t, lo, x, y
+            packed[t] = lo, x, y
+        return packed
 
-    acc, grows = {}, list(rows(g, float("inf")))
-    for t1, lo1, x1, y1 in rows(f, bound):
-        for t2, lo2, x2, y2 in grows:
+    by_row, grows = {}, rows(g, float("inf"))
+    for t1, r1 in rows(f, bound).items():
+        for t2, r2 in grows.items():
             if t1 + t2 <= bound:
-                acc.setdefault(t1 + t2, []).append(
-                    (lo1 + lo2, x1 * x2, y1 * y2, x1 * y2 + y1 * x2)
-                )
+                by_row.setdefault(t1 + t2, []).append((r1, r2))
     out, mask = {}, (1 << w) - 1
-    for t, parts in acc.items():
-        lo, xx, yy, xy = min(parts)[0], 0, 0, 0
-        for base, p, q, r in parts:
-            s = w * (base - lo)
-            xx, yy, xy = xx + (p << s), yy + (q << s), xy + (r << s)
+    for t, pairs in by_row.items():
+        lo, xx, yy, xy = min(r1[0] + r2[0] for r1, r2 in pairs), 0, 0, 0
+        for (lo1, x1, y1), (lo2, x2, y2) in pairs:
+            s = w * (lo1 + lo2 - lo)
+            xx, yy = xx + (x1 * x2 << s), yy + (y1 * y2 << s)
+            xy += (x1 * y2 + y1 * x2) << s
         z = xx | yy | xy
         while z:
             s = ((z & -z).bit_length() - 1) // w * w
