@@ -454,6 +454,7 @@ def _product(ring, f, g, bound, cap=float("inf")):
             z = z >> (s + w) << (s + w)
     return out
 
+
 def _power_exponent(exponent, ring):
     """(E, character) for d_char: the integer power E on the ring's units,
     and whether it came from a non-classical character, whose powers are
