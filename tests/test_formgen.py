@@ -4,8 +4,9 @@ import hashlib
 
 import pytest
 
-from padicgz.errors import BadPrime, ConfigError, SingularCurve
+from padicgz.errors import BadPrime, ConfigError, NotEigenform, SingularCurve
 from padicgz.formgen import (
+    _eisenstein_self_check,
     delta_form,
     eisenstein_roots,
     elliptic_eisenstein,
@@ -14,7 +15,7 @@ from padicgz.formgen import (
     random_depleted,
 )
 from padicgz.padic import PadicRing
-from padicgz.qexp import QExpContext
+from padicgz.qexp import HilbertQExp, QExpContext
 from padicgz.quadfield import SUPPORT_DINV, make_field, splitting_type, tot_pos_enum
 
 R = PadicRing(7, 12)
@@ -118,3 +119,25 @@ def test_golden_hashes():
     )
     assert _hash_hilbert(hilbert_eisenstein(2, CTX7, 21)) == "96f0a80c2180661a"
     assert _hash_hilbert(hilbert_eisenstein(8, CTX11, 21)) == "de862407b38e8414"
+
+
+@pytest.mark.parametrize("ctx", [CTX7, CTX11], ids=["inert7", "split11"])
+@pytest.mark.parametrize("where", ["compared", "u_source"])
+def test_eisenstein_self_check_rejects_a_corrupt_coefficient(ctx, where):
+    # T_0 E = U E + c V E is compared with lam E on traces <= the T_0 bound;
+    # corrupt E at a compared key beta, or at pi*beta, which U reads at beta
+    k = 8
+    E = hilbert_eisenstein(k, ctx, 40)
+    top = E.t(1, k).bound
+    beta = max((key for key in E.coeffs if key[1] <= top), key=lambda key: key[1])
+    assert beta[1] == top
+    key = beta
+    if where == "u_source":
+        key = ctx.field.mul(beta, ctx.sp.prime_generator(1))
+        assert key[1] > top
+    coeffs = dict(E.coeffs)
+    coeffs[key] = coeffs.get(key, ctx.ring.zero) + ctx.ring.one
+    bad = HilbertQExp(ctx, SUPPORT_DINV, E.bound, coeffs, E.weight_tag)
+    _eisenstein_self_check(E, k)
+    with pytest.raises(NotEigenform):
+        _eisenstein_self_check(bad, k)
