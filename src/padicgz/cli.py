@@ -43,7 +43,23 @@ from . import suites
 
 
 def _ints(text: str):
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _ell(text: str):
+    """The two weights of --l."""
+    ell = _ints(text)
+    if len(ell) != 2:
+        raise ConfigError(f"--l needs two weights l1,l2, got {text!r}")
+    return ell
+
+
+def _parallel(ell):
+    if ell[0] != ell[1]:
+        raise ConfigError("the built-in eigenform family is parallel-weight")
 
 
 def _add_ring_args(sp, hilbert=False):
@@ -229,7 +245,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    ell = _ints(args.l)
+    ell = _ell(args.l)
     c = classify_pair(WeightPair.from_ell_k(ell, args.k))
     if c.kind == "balanced":
         extra = " (parallel-2 special corner)" if c.weight2_special else ""
@@ -244,8 +260,7 @@ def _cmd_classify(args) -> int:
 def _demo_inputs(args, ell):
     ctx = context_for(args.D, args.p, args.N)
     ring = ctx.ring
-    if ell[0] != ell[1]:
-        raise ConfigError("the built-in eigenform family is parallel-weight")
+    _parallel(ell)
     g = hilbert_eisenstein(ell[0], ctx, args.B)
     if args.basis:
         basis = basis_from_dict(read_json(args.basis))
@@ -269,7 +284,7 @@ def _emit_report(report, out) -> int:
 
 
 def _cmd_lvalue(args) -> int:
-    ell = _ints(args.l)
+    ell = _ell(args.l)
     ctx, g, basis, _ = _demo_inputs(args, ell)
     rep = lp_balanced(
         g,
@@ -283,7 +298,7 @@ def _cmd_lvalue(args) -> int:
 
 
 def _cmd_aj(args) -> int:
-    ell = _ints(args.l)
+    ell = _ell(args.l)
     kind = "split" if args.split else "inert"
     ctx, g, basis, roots = _demo_inputs(args, ell)
     ctx.sp.require(kind)
@@ -300,8 +315,9 @@ def _cmd_aj(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ell = _ints(args.l)
+    ell = _ell(args.l)
     if args.suite == "gz-inert":
+        _parallel(ell)
         res = suites.suite_gz_inert(
             D=args.D, p=args.p, N=args.N, B=args.B,
             s_values=(args.s,), deltas=(ell[0] - args.s - 2,),

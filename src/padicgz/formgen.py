@@ -180,15 +180,28 @@ def eisenstein_roots(ctx: QExpContext, k: int) -> tuple:
 
 
 def _eisenstein_self_check(E: HilbertQExp, k: int):
-    """Verify the T_0-eigen relation at a sample prime over p at build time."""
-    alpha, beta = eisenstein_roots(E.ctx, k)[:2]
-    lam = alpha + beta
-    te = E.t(1, k)
-    ref = E.scale(lam)
-    for key in te.coeffs.keys() | {kk for kk in ref.coeffs if ref.trace(kk) <= te.bound}:
-        if te.trace(key) > te.bound:
-            continue
-        if te.coeff(key) != ref.coeff(key):
+    """Verify the T_0-eigen relation at the first prime pi over p at build
+    time: T_0 E = U_0 E + c V_0 E equals (alpha + beta) E, c = beta.
+
+    The keys compared are those of trace at most the bound of T_0 E, the
+    lesser of the U_0 and V_0 bounds: the key 0 and the totally positive
+    keys (`tot_pos_enum`).  At each key beta only E at pi*beta, beta and
+    beta/pi is read.
+    """
+    ctx, fld = E.ctx, E.ctx.field
+    alpha, beta = eisenstein_roots(ctx, k)[:2]
+    lam, zero = alpha + beta, ctx.ring.zero
+    gen = ctx.sp.prime_generator(1)
+    # the bounds of E.u(1) and E.v(1)
+    bound = min(
+        E.bound // fld.ceil_sigma_max(gen), fld.floor_scaled_sigma_min(gen, E.bound)
+    )
+    for key in tot_pos_enum(fld, SUPPORT_DINV, bound) if bound >= 0 else ():
+        te = E.coeff(fld.mul(key, gen))
+        below = fld.divide_exact(key, gen)
+        if below is not None:
+            te = te + beta * E.coeffs.get(below, zero)
+        if te != lam * E.coeffs.get(key, zero):
             raise NotEigenform(f"Eisenstein eigen self-check failed at {key}")
 
 

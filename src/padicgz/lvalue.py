@@ -535,6 +535,11 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):
     ring = ctx.ring
     kind = ctx.sp.kind
     gdep = g.deplete("all")
+    if gdep.is_zero():
+        raise ConfigError(
+            f"the depleted input has no coefficient up to trace {g.bound}: "
+            "nothing to compare"
+        )
     ell_char = _hchar(ctx, ell)
     r_char = _hchar(ctx, (-s - 1, 0))
     scale = ring.from_int((-1) ** s * math.factorial(s))

@@ -11,7 +11,8 @@ All operations are exact modulo p^N.  The log and exp series (`plog`,
 truncation is correct to the full working precision.  p-adic powers
 (`ppow`) are one modular power to the integer exponent `char_exponent`
 and use neither series.  Integer powers run on int pairs (`pair_pow`)
-and build one element at the end.
+and build one element at the end; `batch_inverse` inverts many ints
+with one modular inverse.
 `teichmuller`, `plog` and `pexp` stay as the series definition that the
 tests check `ppow` against.
 """
@@ -288,6 +289,27 @@ def pair_pow(ring: PadicRing, a: int, b: int, e: int, ca: int = 1, cb: int = 0):
         if not e:
             return ca, cb
         a, b = (a * a + b * b % m * c) % m, 2 * a * b % m
+
+
+def batch_inverse(values, m: int) -> list:
+    """The inverses mod m of the ints values, by Montgomery's trick: one
+    builtin modular inverse of their product and three products per value.
+
+    Raises NonUnitInverse when some value is not invertible mod m.
+    """
+    prefix, acc = [], 1
+    for x in values:
+        prefix.append(acc)
+        acc = acc * x % m
+    try:
+        inv = pow(acc, -1, m)
+    except ValueError:
+        raise NonUnitInverse("batch inverse of a non-unit") from None
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        out[i] = inv * prefix[i] % m
+        inv = inv * values[i] % m
+    return out
 
 
 def teichmuller(x: PadicNum) -> PadicNum:

@@ -3,9 +3,11 @@ elliptic over Q, with the index derivations d_i, depletion, the U/V/T
 operators at p, and diagonal restriction.
 
 Powers of d_i run on one ladder (`HilbertQExp.d_ladder`): the terms
-c_j * d_i^(e - j) for consecutive j come from one power per coefficient
-and one int-pair multiply per step, each term optionally restricted to
-the diagonal as it is summed; `d_char` is its one-term case.
+c_j * d_i^(e - j) for consecutive j come from one power per coefficient,
+at the exponent in use nearest zero, and one int-pair multiply per step,
+up by sigma_i(beta) and down by its inverse (all inverses at once,
+`batch_inverse`), each term optionally restricted to the diagonal as it
+is summed; `d_char` is its one-term case.
 
 Both products run on packed rows (`_product`): each trace row of
 coefficients becomes one big integer per coordinate, in slots too wide to
@@ -24,7 +26,7 @@ operators grow it.
 from __future__ import annotations
 
 from .errors import ConfigError, ConvergenceDomain, IndexMismatch, NonUnitIndex
-from .padic import PadicNum, char_exponent, pair_pow
+from .padic import PadicNum, batch_inverse, char_exponent, pair_pow
 from .quadfield import SUPPORT_DINV, check_support
 from .weights import WeightCharacter
 
@@ -158,12 +160,14 @@ class HilbertQExp:
         """The terms scalars[j] * d_i^(exponent - j)(self), j = 0..n-1.
 
         exponent is as in d_char; a None scalar skips its term (entry None).
-        Each coefficient takes one `pair_pow` at the lowest exponent in use
-        and one int-pair multiply by sigma_i(beta) per step up, so non-unit
-        indices are allowed while every term in use has a non-negative
-        integer exponent; for a character the steps are exact on units (the
-        CRT lift of u - j is E - j).  With restrict each term comes back as
-        its elliptic zeta_star, summed by trace without the Hilbert term.
+        Each coefficient takes one `pair_pow` at the exponent in use nearest
+        zero, then one int-pair multiply per step: by sigma_i(beta) up and by
+        its inverse down, the inverses of all indices taken at once
+        (`batch_inverse`, of the norms in degree 2).  So non-unit indices
+        are allowed while every term in use has a non-negative integer
+        exponent; for a character the steps are exact on units (the CRT
+        lift of u - j is E - j).  With restrict each term comes back as its
+        elliptic zeta_star, summed by trace without the Hilbert term.
         """
         sp = self.ctx.sp
         ring = self.ring
@@ -181,25 +185,56 @@ class HilbertQExp:
         negative = next((e - j for j in live if e - j < 0), None)
         units_only = character or negative is not None
         what = "d-power" if character else f"d^({negative})"
-        rows = {}
-        for k, v in self.coeffs.items():
-            s = sp.sigma(k, i)
-            if units_only and not s.is_unit():
-                raise NonUnitIndex(
-                    f"{what} at index {k}: sigma_{i} not a unit (input not depleted)"
-                )
-            sa, sb = s.a, s.b
-            sbc = sb * c % m
-            wa, wb = pair_pow(ring, sa, sb, e - low, v.a, v.b)
-            row = [wa, wb]
-            for _ in range(low - top):
-                wa, wb = (wa * sa + wb * sbc) % m, (wa * sb + wb * sa) % m
-                row += (wa, wb)
-            if restrict:
-                acc = rows.get(k[1])
-                rows[k[1]] = row if acc is None else [x + y for x, y in zip(acc, row)]
+        # a row holds the pairs at the exponents e - low .. e - top in turn;
+        # each coefficient starts at the one nearest zero, pair 2 * down
+        start = min(max(0, e - low), e - top)
+        up, down = e - top - start, start - (e - low)
+        keys = list(self.coeffs)
+        sigmas = [sp.sigma(k, i) for k in keys]
+        if units_only:
+            for k, s in zip(keys, sigmas):
+                if not s.is_unit():
+                    raise NonUnitIndex(
+                        f"{what} at index {k}: sigma_{i} not a unit "
+                        "(input not depleted)"
+                    )
+        if negative is not None:
+            if ring.degree == 2:
+                norms = [(s.a * s.a - s.b * s.b % m * c) % m for s in sigmas]
+                inverses = [
+                    (s.a * n % m, -s.b * n % m)
+                    for s, n in zip(sigmas, batch_inverse(norms, m))
+                ]
             else:
-                rows[k] = row
+                inverses = [(n, 0) for n in batch_inverse([s.a for s in sigmas], m)]
+        else:
+            inverses = [None] * len(keys)
+        rows, width, at0 = {}, 2 * (low - top + 1), 2 * down
+        for k, v, s, inverse in zip(keys, self.coeffs.values(), sigmas, inverses):
+            where = k[1] if restrict else k
+            row = rows.get(where)
+            if row is None:
+                row = rows[where] = [0] * width
+            if start < 0:
+                wa, wb = pair_pow(ring, *inverse, -start, v.a, v.b)
+            else:
+                wa, wb = pair_pow(ring, s.a, s.b, start, v.a, v.b)
+            row[at0] += wa
+            row[at0 + 1] += wb
+            if up:
+                sa, sb = s.a, s.b
+                sbc, xa, xb = sb * c % m, wa, wb
+                for at in range(at0 + 2, width, 2):
+                    xa, xb = (xa * sa + xb * sbc) % m, (xa * sb + xb * sa) % m
+                    row[at] += xa
+                    row[at + 1] += xb
+            if down:
+                ia, ib = inverse
+                ibc = ib * c % m
+                for at in range(at0 - 2, -1, -2):
+                    wa, wb = (wa * ia + wb * ibc) % m, (wa * ib + wb * ia) % m
+                    row[at] += wa
+                    row[at + 1] += wb
         for j in live:
             s, at = scalars[j], 2 * (low - j)
             if s.ring != ring:

@@ -131,6 +131,44 @@ def test_verify_wrong_prime_exit_code(capsys, suite, p, named, other):
     assert f"p = {p} is {other} in D = 5, not {named}" in captured.err
 
 
+RING7 = ["--D", "5", "--p", "7", "--N", "8", "--B", "10"]
+MALFORMED_INTS = {
+    "lvalue one weight": (
+        ["lvalue", "--balanced", *RING7, "--l", "8", "--s", "1"], "two weights"),
+    "lvalue non-integer weight": (
+        ["lvalue", "--balanced", *RING7, "--l", "8,x", "--s", "1"], "integers"),
+    "aj one weight": (["aj", "--inert", *RING7, "--l", "8", "--s", "1"], "two weights"),
+    "aj non-integer weight": (
+        ["aj", "--inert", *RING7, "--l", "8,x", "--s", "1"], "integers"),
+    "classify one weight": (["classify", "--l", "8", "--k", "12"], "two weights"),
+    "classify three weights": (["classify", "--l", "8,8,8", "--k", "12"], "two weights"),
+    "euler non-integer root": (
+        ["euler", "--kind", "inert", "--t", "0", "--g-roots", "2,x", "--f-roots", "5,1",
+         "--p", "7"], "integers"),
+    "gz-inert one weight": (["verify", "gz-inert", *RING7, "--l", "8"], "two weights"),
+    "gz-inert non-parallel": (
+        ["verify", "gz-inert", *RING7, "--l", "8,9"], "parallel-weight"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INTS))
+def test_malformed_integer_list_exit_code(capsys, case):
+    argv, reason = MALFORMED_INTS[case]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "configuration" in captured.err and reason in captured.err
+
+
+@pytest.mark.parametrize("suite,p", [("gz-inert", "7"), ("gz-split", "11")])
+def test_verify_empty_depleted_input_exit_code(capsys, suite, p):
+    # at B = 0 the depleted form has no coefficient, so nothing is compared
+    assert main(["verify", suite, "--D", "5", "--p", p, "--N", "8", "--B", "0"]) == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "depleted input has no coefficient" in captured.err
+
+
 EULER_SHA256 = {
     "inert": "ff9e94e915470acb6862f783dbbaff008f909028fc9b5797d96a63c43a9cbf9c",
     "split": "e900dc5618fa1ab9a2ceb5c3978aca0dbd08ab178a1dda204628780d57056b63",

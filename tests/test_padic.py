@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicgz.errors import ConvergenceDomain, NonResidue, NonUnitInverse
 from padicgz.padic import (
     PadicRing,
     PrecisionBudget,
+    batch_inverse,
     hensel_sqrt,
     pbinom,
     pexp,
@@ -34,6 +36,37 @@ def test_inv_is_inverse_random():
         if not a.is_unit():
             continue
         assert a * a.inv() == R74.one
+
+
+@st.composite
+def unit_lists(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    m = p ** draw(st.integers(1, 20))
+    unit = st.integers(0, m - 1).filter(lambda x: x % p)
+    return m, draw(st.lists(unit, max_size=12))
+
+
+@given(unit_lists())
+def test_batch_inverse_matches_pow(case):
+    m, values = case
+    assert batch_inverse(values, m) == [pow(x, -1, m) for x in values]
+
+
+@given(unit_lists(), st.data())
+def test_batch_inverse_rejects_a_non_unit(case, data):
+    m, values = case
+    p = next(q for q in (3, 5, 7, 11, 13) if m % q == 0)
+    at = data.draw(st.integers(0, len(values)))
+    bad = values[:at] + [p * data.draw(st.integers(0, m // p - 1))] + values[at:]
+    with pytest.raises(NonUnitInverse):
+        batch_inverse(bad, m)
+
+
+def test_batch_inverse_short_lists():
+    assert batch_inverse([], 49) == []
+    assert batch_inverse([2], 49) == [25]
+    with pytest.raises(NonUnitInverse):
+        batch_inverse([7], 49)
 
 
 def test_inv_nonunit_raises():
