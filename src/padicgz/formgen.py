@@ -180,17 +180,17 @@ def eisenstein_roots(ctx: QExpContext, k: int) -> tuple:
 
 
 def _eisenstein_self_check(E: HilbertQExp, k: int):
-    """Verify the T_0-eigen relation at the first prime pi over p at build
-    time: T_0 E = U_0 E + c V_0 E equals (alpha + beta) E, c = beta.
+    """Verify T_0 E = (alpha + beta) E at the first prime pi over p at build
+    time, where T_0 = U_0 + beta V_0 and beta = N(pi)^(k-1).
 
     The keys compared are those of trace at most the bound of T_0 E, the
     lesser of the U_0 and V_0 bounds: the key 0 and the totally positive
-    keys (`tot_pos_enum`).  At each key beta only E at pi*beta, beta and
-    beta/pi is read.
+    keys (`tot_pos_enum`).  At each such key x only E at pi*x, x and x/pi
+    is read.
     """
     ctx, fld = E.ctx, E.ctx.field
     alpha, beta = eisenstein_roots(ctx, k)[:2]
-    lam, zero = alpha + beta, ctx.ring.zero
+    lam = alpha + beta
     gen = ctx.sp.prime_generator(1)
     # the bounds of E.u(1) and E.v(1)
     bound = min(
@@ -200,8 +200,8 @@ def _eisenstein_self_check(E: HilbertQExp, k: int):
         te = E.coeff(fld.mul(key, gen))
         below = fld.divide_exact(key, gen)
         if below is not None:
-            te = te + beta * E.coeffs.get(below, zero)
-        if te != lam * E.coeffs.get(key, zero):
+            te = te + beta * E.coeff(below)
+        if te != lam * E.coeff(key):
             raise NotEigenform(f"Eisenstein eigen self-check failed at {key}")
 
 

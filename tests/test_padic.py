@@ -43,19 +43,18 @@ def unit_lists(draw):
     p = draw(st.sampled_from((3, 5, 7, 11, 13)))
     m = p ** draw(st.integers(1, 20))
     unit = st.integers(0, m - 1).filter(lambda x: x % p)
-    return m, draw(st.lists(unit, max_size=12))
+    return p, m, draw(st.lists(unit, max_size=12))
 
 
 @given(unit_lists())
 def test_batch_inverse_matches_pow(case):
-    m, values = case
+    _, m, values = case
     assert batch_inverse(values, m) == [pow(x, -1, m) for x in values]
 
 
 @given(unit_lists(), st.data())
 def test_batch_inverse_rejects_a_non_unit(case, data):
-    m, values = case
-    p = next(q for q in (3, 5, 7, 11, 13) if m % q == 0)
+    p, m, values = case
     at = data.draw(st.integers(0, len(values)))
     bad = values[:at] + [p * data.draw(st.integers(0, m // p - 1))] + values[at:]
     with pytest.raises(NonUnitInverse):
