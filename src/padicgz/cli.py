@@ -323,6 +323,7 @@ def _cmd_verify(args) -> int:
             s_values=(args.s,), deltas=(ell[0] - args.s - 2,),
         )
     elif args.suite == "gz-split":
+        _parallel(ell)
         res = suites.suite_gz_split(
             D=args.D, p=args.p, N=args.N, B=args.B, ell=ell, s_values=(args.s,)
         )

@@ -59,13 +59,14 @@ def elliptic_eisenstein(k: int, B: int, ring: PadicRing) -> EllipticQExp:
 
 
 def delta_form(B: int, ring: PadicRing) -> EllipticQExp:
-    """The discriminant cusp form q prod (1-q^n)^24, expanded exactly."""
-    poly = [1] + [0] * B
-    for n in range(1, B + 1):
-        # multiply by (1 - q^n)^24 one factor at a time
-        for _ in range(24):
-            for m in range(B, n - 1, -1):
-                poly[m] -= poly[m - n]
+    """The discriminant cusp form q prod (1-q^n)^24, expanded exactly: Jacobi's
+    prod (1-q^n)^3 = sum (-1)^k (2k+1) q^(k(k+1)/2), squared three times."""
+    poly = [0] * (B + 1)
+    for k in range(math.isqrt(2 * B) + 1):
+        if k * (k + 1) // 2 <= B:
+            poly[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    for _ in range(3):
+        poly = [sum(poly[i] * poly[n - i] for i in range(n + 1)) for n in range(B + 1)]
     coeffs = {n + 1: ring.from_int(poly[n]) for n in range(B)}
     out = EllipticQExp(ring, B, coeffs, weight_tag=12)
     if B >= 7 and poly[6] != -16744:
@@ -157,13 +158,16 @@ def hilbert_eisenstein(k: int, ctx: QExpContext, B: int) -> HilbertQExp:
     if k < 2:
         raise ConfigError("hilbert Eisenstein needs k >= 2")
     ring = ctx.ring
+    powers = {}  # norm -> norm^(k-1) mod p^N
     coeffs = {}
     for key in tot_pos_enum(ctx.field, SUPPORT_DINV, B):
         if key == (0, 0):
             continue
         total = 0
         for _, norm in ideal_divisors(ctx.field, key):
-            total += norm ** (k - 1)
+            if norm not in powers:
+                powers[norm] = pow(norm, k - 1, ring.modulus)
+            total += powers[norm]
         coeffs[key] = ring.from_int(total)
     out = HilbertQExp(ctx, SUPPORT_DINV, B, coeffs, weight_tag=(k, k))
     _eisenstein_self_check(out, k)

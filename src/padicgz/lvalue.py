@@ -25,6 +25,8 @@ from .nearlyoc import (
     NearlyOCExpansion,
     degree_agreements,
     from_omega_eta,
+    nabla_expansion,
+    nabla_scalars,
     oc_project,
     zeta_star_nabla_pow,
 )
@@ -48,7 +50,9 @@ class EulerFactorSet:
     e_0p: Optional[ScaledPadic]  # split only
 
     def exceptional_zero(self) -> bool:
-        return self.e_fstar.is_zero() or self.e_p.is_zero()
+        """Whether E(f*) or E_p is known to be 0 mod p^N (not to fewer digits)."""
+        known = [e.exponent + e.prec for e in (self.e_fstar, self.e_p) if e.is_zero()]
+        return max(known, default=-1) >= self.e_p.ring.N
 
 
 def euler_factors(g_roots, f_roots, t_F: int) -> EulerFactorSet:
@@ -238,19 +242,27 @@ def _hchar(ctx, ints) -> WeightCharacter:
     )
 
 
-def _tau_sum(h: HilbertQExp, ell1: int, s: int, k: int, top: int):
-    """sum_{j=s}^{ell1-2} (-1)^j j! binom(ell1-2-s, j-s)
-        zeta*(d_1^(top-j) h) omega^(k-2-j+s) eta^(j-s) dq/q."""
+def _tau_scalars(ring, ell1: int, s: int) -> list:
+    """(-1)^j j! binom(ell1-2-s, j-s), j = s..ell1-2: the tau-sum scalars."""
     if s < 0 or s > ell1 - 2:
         raise ConfigError(f"s = {s} outside 0..ell1-2 = {ell1 - 2}")
-    ring = h.ring
-    coefs = [
+    return [
         ring.from_int((-1) ** j * math.factorial(j) * math.comb(ell1 - 2 - s, j - s))
         for j in range(s, ell1 - 1)
     ]
-    inner = h.d_ladder(1, top - s, coefs, restrict=True)
+
+
+def _tau_expansion(inner, k: int) -> NearlyOCExpansion:
+    """sum_i inner[i] omega^(k-2-i) eta^i dq/q."""
     entries = [(z, k - 2 - i, i, True) for i, z in enumerate(inner)]
-    return from_omega_eta(entries, _echar(ring, k), ELLIPTIC)
+    return from_omega_eta(entries, _echar(inner[0].ring, k), ELLIPTIC)
+
+
+def _tau_sum(h: HilbertQExp, ell1: int, s: int, k: int, top: int):
+    """sum_{j=s}^{ell1-2} (-1)^j j! binom(ell1-2-s, j-s)
+        zeta*(d_1^(top-j) h) omega^(k-2-j+s) eta^(j-s) dq/q."""
+    coefs = _tau_scalars(h.ring, ell1, s)
+    return _tau_expansion(h.d_ladder(1, top - s, [coefs], restrict=True)[0], k)
 
 
 def gz_sum(gdep: HilbertQExp, ell1: int, s: int, k: int) -> NearlyOCExpansion:
@@ -520,14 +532,29 @@ def _classify_or_die(ell, s, k):
     return c
 
 
+def gz_sides(gdep: HilbertQExp, ell, s: int, k: int):
+    """(gz_sum, (-1)^s s! zeta_star_nabla_pow) of gdep at (ell, s, k): the
+    two sides of the identity, read off one d_ladder pass."""
+    ctx, ring = gdep.ctx, gdep.ring
+    r = _hchar(ctx, (-s - 1, 0))
+    weight, exponent, nabla = nabla_scalars(ring, _hchar(ctx, ell), r)
+    tau = _tau_scalars(ring, ell[0], s)
+    rhs, lhs = gdep.d_ladder(1, exponent, [nabla, tau], restrict=True)
+    sign = ring.from_int((-1) ** s * math.factorial(s))
+    return _tau_expansion(lhs, k), nabla_expansion(weight, rhs, True).scale(sign)
+
+
 def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):
-    """Identity check through two disjoint code paths, for the splitting
-    kind of g's prime (g.ctx.sp.kind):
+    """Identity check for the splitting kind of g's prime (g.ctx.sp.kind):
 
     inert:  tau G  ==  (-1)^s s! zeta*(nabla^(-s-1,0) g^[p]),
             exact before any projection;
     split:  H(H')  ==  (-1)^s s! H(zeta* nabla^(-s-1,0) g^[P]),
             compared after the overconvergent projection at weight k.
+
+    The sides share only the rows zeta*(d_1^(-s-1-j) g^[P]) of one ladder
+    pass (`gz_sides`): the nabla^r scalars with their p^j, and the tau
+    coefficients with from_omega_eta's p^b, stay independent.
     """
     config = dict(config or {})
     _classify_or_die(tuple(ell), s, k)
@@ -540,12 +567,7 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):
             f"the depleted input has no coefficient up to trace {g.bound}: "
             "nothing to compare"
         )
-    ell_char = _hchar(ctx, ell)
-    r_char = _hchar(ctx, (-s - 1, 0))
-    scale = ring.from_int((-1) ** s * math.factorial(s))
-
-    rhs_noc = zeta_star_nabla_pow(gdep, ell_char, r_char).scale(scale)
-    lhs_noc = gz_sum(gdep, ell[0], s, k)
+    lhs_noc, rhs_noc = gz_sides(gdep, ell, s, k)
     table = [
         {"v_degree": deg[0], "agreement": val}
         for deg, val in degree_agreements(lhs_noc, rhs_noc)
@@ -859,7 +881,7 @@ def u_annihilation_certificate(prim: SplitPrimitives) -> list:
     ):
         top = elld - 1 - s
         # d_side^n gbase for n = 0..top, from one ladder
-        powers = gbase.d_ladder(side, top, [gbase.ring.one] * (top + 1))[::-1]
+        powers = gbase.d_ladder(side, top, [[gbase.ring.one] * (top + 1)])[0][::-1]
         for (x, y), coef in sorted(poly.items()):
             vp_grade = min(x, y)
             for n, d in enumerate(powers):

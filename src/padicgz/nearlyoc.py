@@ -11,7 +11,7 @@ iteration nabla_pow, diagonal restriction, the omega/eta monomial
 wrapper (one dq/q factor raises the weight by 2), and the overconvergent
 projection with its factorial denominators.  nabla_pow and its restricted
 entry point zeta_star_nabla_pow (= zeta_star_noc o nabla_pow, without the
-Hilbert terms) share one scalar loop and one d_ladder pass.
+Hilbert terms) share one scalar loop, `nabla_scalars`, and one d_ladder pass.
 """
 
 from __future__ import annotations
@@ -160,12 +160,8 @@ def nabla_pow(
     reaches an exact zero first and the sum is finite.  All terms come
     from one `HilbertQExp.d_ladder` pass.
     """
-    weight, terms = _nabla_terms(g, k, r, restrict=False)
-    res = NearlyOCExpansion(
-        HILBERT, weight, {(j, 0): t for j, t in enumerate(terms) if t is not None}
-    )
-    res.assert_divisibility()
-    return res
+    weight, exponent, scalars = nabla_scalars(g.ring, k, r)
+    return nabla_expansion(weight, g.d_ladder(1, exponent, [scalars])[0], False)
 
 
 def zeta_star_nabla_pow(
@@ -173,24 +169,18 @@ def zeta_star_nabla_pow(
 ) -> NearlyOCExpansion:
     """zeta_star_noc(nabla_pow(g, k, r)), with each term restricted to the
     diagonal inside the ladder, so the Hilbert terms are never built."""
-    weight, terms = _nabla_terms(g, k, r, restrict=True)
-    res = NearlyOCExpansion(
-        ELLIPTIC,
-        char_shift(weight, None, "restrict"),
-        {(j,): t for j, t in enumerate(terms) if t is not None},
-    )
-    res.assert_divisibility()
-    return res
+    weight, exponent, scalars = nabla_scalars(g.ring, k, r)
+    return nabla_expansion(weight, g.d_ladder(1, exponent, [scalars], True)[0], True)
 
 
-def _nabla_terms(g, k, r, restrict):
-    """(weight k + 2r, the d_ladder terms of nabla^r g by V-degree j)."""
+def nabla_scalars(ring, k: WeightCharacter, r: WeightCharacter):
+    """(weight k + 2r, the d_1 exponent r_1, the scalars of nabla^r by
+    V-degree j, None where a scalar is zero) for nabla_pow on ring."""
     if k.arity != 2 or r.arity != 2:
         raise ConfigError("nabla_pow expects two-embedding weight characters")
     if not r.u[1].is_zero() or r.chi[1] % r.torsion_order:
         raise ConfigError("the iteration exponent must be supported on sigma_1")
     ring1 = k.ring1
-    ring = g.ctx.ring
     p, N = ring.p, ring.N
     uk1, ur = k.u[0], r.u[0]
     scalars = []
@@ -211,8 +201,21 @@ def _nabla_terms(g, k, r, restrict):
                 f"{scalar.valuation()} < {j}"
             )
         scalars.append(scalar)
-    weight = char_shift(k, r, "add2r")
-    return weight, g.d_ladder(1, r.component(0), scalars, restrict)
+    return char_shift(k, r, "add2r"), r.component(0), scalars
+
+
+def nabla_expansion(weight, terms, restrict) -> NearlyOCExpansion:
+    """nabla^r g, of weight k + 2r, from its d_ladder terms by V-degree j;
+    its zeta_star when the terms are restricted."""
+    if restrict:
+        weight = char_shift(weight, None, "restrict")
+    res = NearlyOCExpansion(
+        ELLIPTIC if restrict else HILBERT,
+        weight,
+        {(j,) if restrict else (j, 0): t for j, t in enumerate(terms) if t is not None},
+    )
+    res.assert_divisibility()
+    return res
 
 
 def zeta_star_noc(gamma: NearlyOCExpansion) -> NearlyOCExpansion:

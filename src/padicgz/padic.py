@@ -580,8 +580,9 @@ class ScaledPadic:
         return ScaledPadic(-self.mantissa, self.exponent, self.prec)
 
     def inv(self) -> "ScaledPadic":
-        if self.is_zero():
-            raise NonUnitInverse("inverse of a (claimed) zero value")
+        if self.is_zero():  # its valuation needs more digits than are known
+            known = self.exponent + self.prec
+            raise PrecisionExhausted(f"inverse of a value known only as 0 mod p^{known}")
         return ScaledPadic(self.mantissa.inv(), -self.exponent, self.prec)
 
     def __truediv__(self, other):

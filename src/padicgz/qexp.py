@@ -3,11 +3,12 @@ elliptic over Q, with the index derivations d_i, depletion, the U/V/T
 operators at p, and diagonal restriction.
 
 Powers of d_i run on one ladder (`HilbertQExp.d_ladder`): the terms
-c_j * d_i^(e - j) for consecutive j come from one power per coefficient,
-at the exponent in use nearest zero, and one int-pair multiply per step,
-up by sigma_i(beta) and down by its inverse (all inverses at once,
-`batch_inverse`), each term optionally restricted to the diagonal as it
-is summed; `d_char` is its one-term case.
+c_j * d_i^(e - j) for consecutive j, for one or several scalar lists c,
+come from one power per coefficient at the exponent in use nearest zero
+and one plain-int (degree 1) or int-pair (degree 2) multiply per step, up
+by sigma_i(beta) and down by its inverse (all inverses at once,
+`batch_inverse`), summed unreduced, optionally onto the diagonal, each
+term reduced mod p^N as it is read; `d_char` is its one-term case.
 
 Both products run on packed rows (`_product`): each trace row of
 coefficients becomes one big integer per coordinate, in slots too wide to
@@ -154,27 +155,27 @@ class HilbertQExp:
         `char_exponent`; requires unit indices throughout, i.e. a suitably
         depleted input).  The one-term case of d_ladder.
         """
-        return self.d_ladder(i, exponent, (self.ring.one,))[0]
+        return self.d_ladder(i, exponent, [(self.ring.one,)])[0][0]
 
     def d_ladder(self, i: int, exponent, scalars, restrict=False):
-        """The terms scalars[j] * d_i^(exponent - j)(self), j = 0..n-1.
+        """For each list c in scalars, the terms c[j] * d_i^(exponent - j)
+        of self (None where c[j] is None), all read off one pass.
 
-        exponent is as in d_char; a None scalar skips its term (entry None).
-        Each coefficient takes one `pair_pow` at the exponent in use nearest
-        zero, then one int-pair multiply per step: by sigma_i(beta) up and by
-        its inverse down, the inverses of all indices taken at once
-        (`batch_inverse`, of the norms in degree 2).  So non-unit indices
+        exponent is as in d_char.  Each coefficient takes one power at the
+        exponent in use nearest zero, then one multiply per step: by
+        sigma_i(beta) up and by its inverse down, all inverses at once
+        (`batch_inverse` of the norms).  Steps are summed unreduced; a term
+        is reduced mod p^N as it is read off its row.  So non-unit indices
         are allowed while every term in use has a non-negative integer
         exponent; for a character the steps are exact on units (the CRT
         lift of u - j is E - j).  With restrict each term comes back as its
         elliptic zeta_star, summed by trace without the Hilbert term.
         """
-        sp = self.ctx.sp
-        ring = self.ring
+        sp, ring = self.ctx.sp, self.ring
         m, c = ring.modulus, ring.nonresidue or 0
         e, character = _power_exponent(exponent, ring)
-        out = [None] * len(scalars)
-        live = [j for j, s in enumerate(scalars) if s is not None]
+        out = [[None] * len(s) for s in scalars]
+        live = sorted({j for s in scalars for j, x in enumerate(s) if x is not None})
         if not live:
             return out
         top, low = live[0], live[-1]
@@ -183,75 +184,83 @@ class HilbertQExp:
                 "a character ladder needs a torsion order divisible by p^f - 1"
             )
         negative = next((e - j for j in live if e - j < 0), None)
-        units_only = character or negative is not None
-        what = "d-power" if character else f"d^({negative})"
         # a row holds the pairs at the exponents e - low .. e - top in turn;
-        # each coefficient starts at the one nearest zero, pair 2 * down
+        # each coefficient starts at the one nearest zero, pair at0 / 2
         start = min(max(0, e - low), e - top)
-        up, down = e - top - start, start - (e - low)
+        at0, width = 2 * (start - (e - low)), 2 * (low - top + 1)
         keys = list(self.coeffs)
         sigmas = [sp.sigma(k, i) for k in keys]
-        if units_only:
+        if character or negative is not None:
+            what = "d-power" if character else f"d^({negative})"
             for k, s in zip(keys, sigmas):
                 if not s.is_unit():
                     raise NonUnitIndex(
                         f"{what} at index {k}: sigma_{i} not a unit "
                         "(input not depleted)"
                     )
+        inverses = [None] * len(keys)
         if negative is not None:
-            if ring.degree == 2:
-                norms = [(s.a * s.a - s.b * s.b % m * c) % m for s in sigmas]
-                inverses = [
-                    (s.a * n % m, -s.b * n % m)
-                    for s, n in zip(sigmas, batch_inverse(norms, m))
-                ]
-            else:
-                inverses = [(n, 0) for n in batch_inverse([s.a for s in sigmas], m)]
-        else:
-            inverses = [None] * len(keys)
-        rows, width, at0 = {}, 2 * (low - top + 1), 2 * down
+            norms = [(s.a * s.a - s.b * s.b % m * c) % m for s in sigmas]
+            inverses = [
+                (s.a * n % m, -s.b * n % m)
+                for s, n in zip(sigmas, batch_inverse(norms, m))
+            ]
+        rows = {}
         for k, v, s, inverse in zip(keys, self.coeffs.values(), sigmas, inverses):
             where = k[1] if restrict else k
             row = rows.get(where)
             if row is None:
                 row = rows[where] = [0] * width
+            if ring.degree == 1:  # plain ints in the a slots; the b slots stay 0
+                up, down = s.a, inverse and inverse[0]
+                x = w = v.a * pow(up if start >= 0 else down, abs(start), m) % m
+                row[at0] += w
+                for at in range(at0 + 2, width, 2):
+                    x *= up
+                    row[at] += x
+                for at in range(at0 - 2, -1, -2):
+                    w *= down
+                    row[at] += w
+                continue
             if start < 0:
                 wa, wb = pair_pow(ring, *inverse, -start, v.a, v.b)
             else:
                 wa, wb = pair_pow(ring, s.a, s.b, start, v.a, v.b)
             row[at0] += wa
             row[at0 + 1] += wb
-            if up:
+            if at0 < width - 2:
                 sa, sb = s.a, s.b
                 sbc, xa, xb = sb * c % m, wa, wb
                 for at in range(at0 + 2, width, 2):
-                    xa, xb = (xa * sa + xb * sbc) % m, (xa * sb + xb * sa) % m
+                    xa, xb = xa * sa + xb * sbc, xa * sb + xb * sa
                     row[at] += xa
                     row[at + 1] += xb
-            if down:
+            if at0:
                 ia, ib = inverse
                 ibc = ib * c % m
                 for at in range(at0 - 2, -1, -2):
-                    wa, wb = (wa * ia + wb * ibc) % m, (wa * ib + wb * ia) % m
+                    wa, wb = wa * ia + wb * ibc, wa * ib + wb * ia
                     row[at] += wa
                     row[at + 1] += wb
-        for j in live:
-            s, at = scalars[j], 2 * (low - j)
-            if s.ring != ring:
-                raise ConfigError("mixed p-adic rings in arithmetic")
-            ca, cbc, cb = s.a, s.b * c % m, s.b
-            coeffs = {
-                key: PadicNum(
-                    ring,
-                    (ca * row[at] + cbc * row[at + 1]) % m,
-                    (ca * row[at + 1] + cb * row[at]) % m,
-                )
-                for key, row in rows.items()
-            }
-            if restrict:
-                out[j] = EllipticQExp(ring, self.bound, coeffs, self.weight_tag)
-            else:
-                out[j] = self._like(coeffs)
+        for s, terms in zip(scalars, out):
+            for j, x in enumerate(s):
+                if x is None:
+                    continue
+                if x.ring != ring:
+                    raise ConfigError("mixed p-adic rings in arithmetic")
+                at, ca, cb, cbc = 2 * (low - j), x.a, x.b, x.b * c % m
+                coeffs = {
+                    key: PadicNum(
+                        ring,
+                        (ca * r[at] + cbc * r[at + 1]) % m,
+                        (ca * r[at + 1] + cb * r[at]) % m,
+                    )
+                    for key, r in rows.items()
+                }
+                if restrict:
+                    terms[j] = EllipticQExp(ring, self.bound, coeffs, self.weight_tag)
+                else:
+                    terms[j] = self._like(coeffs)
         return out
 
     def deplete(self, which="all"):

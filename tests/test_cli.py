@@ -148,6 +148,13 @@ MALFORMED_INTS = {
     "gz-inert one weight": (["verify", "gz-inert", *RING7, "--l", "8"], "two weights"),
     "gz-inert non-parallel": (
         ["verify", "gz-inert", *RING7, "--l", "8,9"], "parallel-weight"),
+    # the built-in weight-(l1, l1) family must not pass for a weight-(8, 10) l
+    "gz-split non-parallel 8,10": (
+        ["verify", "gz-split", "--D", "5", "--p", "11", "--l", "8,10", "--s", "1",
+         "--B", "20"], "parallel-weight"),
+    "gz-split non-parallel 10,8": (
+        ["verify", "gz-split", "--D", "5", "--p", "11", "--l", "10,8", "--s", "1",
+         "--B", "20"], "parallel-weight"),
 }
 
 
@@ -167,6 +174,29 @@ def test_verify_empty_depleted_input_exit_code(capsys, suite, p):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "depleted input has no coefficient" in captured.err
+
+
+DEMO7 = ["--D", "5", "--p", "7", "--l", "8,8", "--s", "1", "--B", "40"]
+LOW_PRECISION = {
+    # E_p has no known digit at N = 3 and 4: no exceptional zero is claimed
+    "aj N=3": ["aj", "--inert", *DEMO7, "--N", "3"],
+    "aj N=4": ["aj", "--inert", *DEMO7, "--N", "4"],
+    # v(a_7(Delta)) = 1 is not seen at N = 1, so the Hecke roots are unknown
+    "lvalue N=1": ["lvalue", "--balanced", *DEMO7, "--N", "1"],
+    # E_p and E_0p are known only mod p^-6 and p^-2 at N = 2
+    "aj split N=2": ["aj", "--split", "--D", "5", "--p", "11", "--l", "8,8", "--s", "1",
+                     "--B", "40", "--N", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOW_PRECISION))
+def test_low_precision_exit_code(capsys, case):
+    # a value with too few known digits is precision exhaustion (exit 4),
+    # never an identity failure (exit 2)
+    assert main(LOW_PRECISION[case]) == 4
+    captured = capsys.readouterr()
+    assert "exceptional zero" not in captured.out
+    assert "error [precision]" in captured.err
 
 
 EULER_SHA256 = {

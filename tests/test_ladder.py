@@ -84,7 +84,9 @@ def _oracle(f, case):
 
 
 def _check(f, case):
-    got = f.d_ladder(case["i"], _exponent(case), case["scalars"], case["restrict"])
+    (got,) = f.d_ladder(
+        case["i"], _exponent(case), [case["scalars"]], case["restrict"]
+    )
     for term, want in zip(got, _oracle(f, case)):
         if want is None:
             assert term is None
@@ -106,9 +108,38 @@ def test_ladder_on_input_not_depleted(case):
     needs_units = case["u"] is not None or any(case["e"] - j < 0 for j in live)
     if live and needs_units:
         with pytest.raises(NonUnitIndex):
-            f.d_ladder(case["i"], _exponent(case), case["scalars"], case["restrict"])
+            f.d_ladder(
+                case["i"], _exponent(case), [case["scalars"]], case["restrict"]
+            )
     else:
         _check(f, case)
+
+
+def _terms(terms):
+    return [None if t is None else (t.bound, t.coeffs) for t in terms]
+
+
+@given(ladder_cases(), st.data())
+def test_several_scalar_lists_share_one_pass(case, data):
+    # every list of one pass gets the terms of its own pass and the oracle's;
+    # the lists differ in length, so the pass spans the union of their
+    # exponents, with steps up and down from the one nearest zero
+    ring = case["ctx"].ring
+    coord = st.integers(0, ring.modulus - 1)
+    second = coord if ring.degree == 2 else st.just(0)
+    scalar = st.one_of(st.none(), st.builds(ring.make, coord, second))
+    more = data.draw(st.lists(st.lists(scalar, min_size=1, max_size=6), min_size=1,
+                              max_size=3))
+    lists = [case["scalars"]] + more
+    f = random_depleted(case["seed"], case["ctx"], case["B"])
+    i, exponent = case["i"], _exponent(case)
+    together = f.d_ladder(i, exponent, lists, case["restrict"])
+    assert len(together) == len(lists)
+    for scalars, terms in zip(lists, together):
+        (alone,) = f.d_ladder(i, exponent, [scalars], case["restrict"])
+        assert _terms(terms) == _terms(alone)
+        want = _oracle(f, {**case, "scalars": scalars})
+        assert [None if t is None else t.coeffs for t in terms] == want
 
 
 @given(
@@ -139,11 +170,11 @@ def test_ladder_rejects_mixed_rings_and_torsion():
     one = ctx.ring.one
     ring1 = PadicRing(7, N, 1)
     with pytest.raises(ConfigError):
-        f.d_ladder(1, -1, (one, ring1.one))
+        f.d_ladder(1, -1, [(one, ring1.one)])
     # finite part mod p - 1 = 6 is ambiguous on the degree-2 ring's units
     ch = WeightCharacter(ring1, 6, (ring1.from_int(-1),), (-1,))
-    (term,) = f.d_ladder(1, ch, (one,))  # one term takes no step
+    ((term,),) = f.d_ladder(1, ch, [(one,)])  # one term takes no step
     for key, v in f.coeffs.items():
         assert term.coeff(key) == v * ppow(ctx.sp.sigma(key, 1), ch.u[0], ch.chi[0])
     with pytest.raises(ConfigError):
-        f.d_ladder(1, ch, (one, one))
+        f.d_ladder(1, ch, [(one, one)])

@@ -1,17 +1,20 @@
 """Unit tests for Euler factors, the split decomposition, and the
 Gross-Zagier-type identity machinery."""
 
+import math
 import random
 
 import pytest
 
-from padicgz.errors import ConfigError, DecompositionFailed
+from padicgz.errors import ConfigError, DecompositionFailed, PrecisionExhausted
 from padicgz.formgen import demo_basis, hilbert_eisenstein
 from padicgz.lvalue import (
+    EulerFactorSet,
     apply_vpoly,
     build_split_primitives,
     build_h_prime,
     euler_factors,
+    gz_sides,
     gz_sum,
     kappa_empirical,
     main_theorem_residual,
@@ -23,9 +26,12 @@ from padicgz.lvalue import (
     lp_balanced,
     aj_value,
 )
+from padicgz.nearlyoc import zeta_star_nabla_pow
 from padicgz.padic import PadicRing, ScaledPadic
 from padicgz.qexp import QExpContext, agreement_valuation
 from padicgz.quadfield import make_field, splitting_type
+from padicgz.serialize import noc_to_dict
+from padicgz.weights import WeightCharacter
 
 L = make_field(5)
 N = 12
@@ -55,6 +61,23 @@ def test_euler_exceptional_zero_and_trivial():
     assert es.kind == "split"
     assert es.e_p == ScaledPadic(o) and es.e_0p == ScaledPadic(o)
     assert es.e_fstar == ScaledPadic(o)
+
+
+def test_exceptional_zero_needs_a_known_zero():
+    ring = PadicRing(7, 8)
+    one = ScaledPadic(ring.one)
+    # known only mod p^-4: no digit of E_p is known, so it is not flagged
+    unknown = ScaledPadic(ring.zero, -4, 0)
+    assert unknown.is_zero()
+    assert not EulerFactorSet("inert", -2, one, unknown, None).exceptional_zero()
+    with pytest.raises(PrecisionExhausted):
+        one / unknown
+    # zero mod p^N is flagged, in either factor
+    zero = ScaledPadic(ring.zero)
+    assert EulerFactorSet("inert", 0, one, zero, None).exceptional_zero()
+    assert EulerFactorSet("inert", 0, zero, one, None).exceptional_zero()
+    with pytest.raises(PrecisionExhausted):
+        one / zero
 
 
 def test_euler_negative_power_carried():
@@ -250,6 +273,27 @@ def test_gz_sum_term_count():
     for s in (0, 1):
         noc = build_h_prime(E88_11, (8, 8), s, 14 - 2 * s)
         assert len(noc.degrees()) == 8 - s - 1
+
+
+@pytest.mark.parametrize("ctx", [CTX7, CTX11], ids=["p7", "p11"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_gz_sides_match_separate_passes(ctx, s):
+    # verify_gz reads both sides off one ladder pass; each equals its side
+    # computed on its own pass
+    ell, k = (8, 8), 14 - 2 * s
+    gdep = hilbert_eisenstein(8, ctx, 30).deplete("all")
+    ring = ctx.ring
+    ring1, tor = PadicRing(ctx.p, ctx.N, 1), ring.residue_order()
+    rhs = zeta_star_nabla_pow(
+        gdep,
+        WeightCharacter.from_classical(ring1, tor, ell),
+        WeightCharacter.from_classical(ring1, tor, (-s - 1, 0)),
+    ).scale(ring.from_int((-1) ** s * math.factorial(s)))
+    lhs = gz_sum(gdep, ell[0], s, k)
+    got_lhs, got_rhs = gz_sides(gdep, ell, s, k)
+    assert noc_to_dict(got_lhs) == noc_to_dict(lhs)
+    assert noc_to_dict(got_rhs) == noc_to_dict(rhs)
+    assert len(lhs.degrees()) == len(rhs.degrees()) == ell[0] - s - 1
 
 
 def test_verify_gz_unit_scaling_invariance():
