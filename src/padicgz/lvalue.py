@@ -25,10 +25,10 @@ from .nearlyoc import (
     NearlyOCExpansion,
     degree_agreements,
     from_omega_eta,
-    nabla_expansion,
     nabla_scalars,
     oc_project,
     zeta_star_nabla_pow,
+    zeta_star_nabla_terms,
 )
 from .padic import PadicNum, PadicRing, PrecisionBudget, ScaledPadic
 from .qexp import HilbertQExp, agreement_valuation
@@ -50,9 +50,10 @@ class EulerFactorSet:
     e_0p: Optional[ScaledPadic]  # split only
 
     def exceptional_zero(self) -> bool:
-        """Whether E(f*) or E_p is known to be 0 mod p^N (not to fewer digits)."""
+        """Whether E(f*) or E_p is known to vanish: zero with a known digit
+        (a zero known only mod p^k, k <= 0, is no claim)."""
         known = [e.exponent + e.prec for e in (self.e_fstar, self.e_p) if e.is_zero()]
-        return max(known, default=-1) >= self.e_p.ring.N
+        return max(known, default=0) > 0
 
 
 def euler_factors(g_roots, f_roots, t_F: int) -> EulerFactorSet:
@@ -538,10 +539,9 @@ def gz_sides(gdep: HilbertQExp, ell, s: int, k: int):
     ctx, ring = gdep.ctx, gdep.ring
     r = _hchar(ctx, (-s - 1, 0))
     weight, exponent, nabla = nabla_scalars(ring, _hchar(ctx, ell), r)
-    tau = _tau_scalars(ring, ell[0], s)
-    rhs, lhs = gdep.d_ladder(1, exponent, [nabla, tau], restrict=True)
+    rhs, lhs = gdep.d_ladder(1, exponent, [nabla, _tau_scalars(ring, ell[0], s)], True)
     sign = ring.from_int((-1) ** s * math.factorial(s))
-    return _tau_expansion(lhs, k), nabla_expansion(weight, rhs, True).scale(sign)
+    return _tau_expansion(lhs, k), zeta_star_nabla_terms(weight, rhs).scale(sign)
 
 
 def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):

@@ -161,7 +161,12 @@ def nabla_pow(
     from one `HilbertQExp.d_ladder` pass.
     """
     weight, exponent, scalars = nabla_scalars(g.ring, k, r)
-    return nabla_expansion(weight, g.d_ladder(1, exponent, [scalars])[0], False)
+    terms = g.d_ladder(1, exponent, [scalars])[0]
+    res = NearlyOCExpansion(
+        HILBERT, weight, {(j, 0): t for j, t in enumerate(terms) if t is not None}
+    )
+    res.assert_divisibility()
+    return res
 
 
 def zeta_star_nabla_pow(
@@ -170,7 +175,7 @@ def zeta_star_nabla_pow(
     """zeta_star_noc(nabla_pow(g, k, r)), with each term restricted to the
     diagonal inside the ladder, so the Hilbert terms are never built."""
     weight, exponent, scalars = nabla_scalars(g.ring, k, r)
-    return nabla_expansion(weight, g.d_ladder(1, exponent, [scalars], True)[0], True)
+    return zeta_star_nabla_terms(weight, g.d_ladder(1, exponent, [scalars], True)[0])
 
 
 def nabla_scalars(ring, k: WeightCharacter, r: WeightCharacter):
@@ -204,15 +209,13 @@ def nabla_scalars(ring, k: WeightCharacter, r: WeightCharacter):
     return char_shift(k, r, "add2r"), r.component(0), scalars
 
 
-def nabla_expansion(weight, terms, restrict) -> NearlyOCExpansion:
-    """nabla^r g, of weight k + 2r, from its d_ladder terms by V-degree j;
-    its zeta_star when the terms are restricted."""
-    if restrict:
-        weight = char_shift(weight, None, "restrict")
+def zeta_star_nabla_terms(weight, terms) -> NearlyOCExpansion:
+    """zeta_star_nabla_pow from its restricted d_ladder terms by V-degree j,
+    where weight = k + 2r is the weight of nabla^r g."""
     res = NearlyOCExpansion(
-        ELLIPTIC if restrict else HILBERT,
-        weight,
-        {(j,) if restrict else (j, 0): t for j, t in enumerate(terms) if t is not None},
+        ELLIPTIC,
+        char_shift(weight, None, "restrict"),
+        {(j,): t for j, t in enumerate(terms) if t is not None},
     )
     res.assert_divisibility()
     return res

@@ -222,19 +222,16 @@ class HilbertQExp:
                     w *= down
                     row[at] += w
                 continue
-            if start < 0:
-                wa, wb = pair_pow(ring, *inverse, -start, v.a, v.b)
-            else:
-                wa, wb = pair_pow(ring, s.a, s.b, start, v.a, v.b)
+            base = inverse if start < 0 else (s.a, s.b)
+            wa, wb = pair_pow(ring, *base, abs(start), v.a, v.b)
             row[at0] += wa
             row[at0 + 1] += wb
-            if at0 < width - 2:
-                sa, sb = s.a, s.b
-                sbc, xa, xb = sb * c % m, wa, wb
-                for at in range(at0 + 2, width, 2):
-                    xa, xb = xa * sa + xb * sbc, xa * sb + xb * sa
-                    row[at] += xa
-                    row[at + 1] += xb
+            sa, sb = s.a, s.b
+            sbc, xa, xb = sb * c % m, wa, wb
+            for at in range(at0 + 2, width, 2):
+                xa, xb = xa * sa + xb * sbc, xa * sb + xb * sa
+                row[at] += xa
+                row[at + 1] += xb
             if at0:
                 ia, ib = inverse
                 ibc = ib * c % m

@@ -229,6 +229,15 @@ def test_euler_root_counts_exit_code(capsys, kind, groots, froots):
     assert "configuration" in capsys.readouterr().err
 
 
+def test_euler_zero_at_negative_t_flagged(capsys):
+    # E_p = (1 - 7^-1 * 7)^2 = 0, known mod 7^7 at N = 8
+    assert main(["euler", "--kind", "inert", "--p", "7", "--N", "8", "--g-roots", "7,7",
+                 "--f-roots", "1,2", "--t", "-1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["E_p"] == {"known_mod_p_power": 7, "zero": True}
+    assert out["exceptional_zero"] is True
+
+
 def test_euler_and_report_render(tmp_path, capsys):
     assert main(["euler", "--kind", "split", "--t", "0",
                  "--g-roots", "0,0,0,0", "--f-roots", "1,0", "--p", "7"]) == 0

@@ -72,12 +72,25 @@ def test_exceptional_zero_needs_a_known_zero():
     assert not EulerFactorSet("inert", -2, one, unknown, None).exceptional_zero()
     with pytest.raises(PrecisionExhausted):
         one / unknown
+    # known mod p^0 is still no digit; mod p^1 is one
+    mod_p0, mod_p1 = ScaledPadic(ring.zero, -3, 3), ScaledPadic(ring.zero, -3, 4)
+    assert not EulerFactorSet("inert", 0, one, mod_p0, None).exceptional_zero()
+    assert EulerFactorSet("inert", 0, one, mod_p1, None).exceptional_zero()
     # zero mod p^N is flagged, in either factor
     zero = ScaledPadic(ring.zero)
     assert EulerFactorSet("inert", 0, one, zero, None).exceptional_zero()
     assert EulerFactorSet("inert", 0, zero, one, None).exceptional_zero()
     with pytest.raises(PrecisionExhausted):
         one / zero
+
+
+def test_exceptional_zero_at_negative_t():
+    # at t_F = -1, E_p = (1 - 7^-1 * 7)^2 is known only mod 7^(N-1), and is flagged
+    ring = PadicRing(7, 8)
+    seven = ring.from_int(7)
+    es = euler_factors((seven, seven), (ring.one, ring.from_int(2)), -1)
+    assert es.e_p.is_zero() and es.e_p.exponent + es.e_p.prec == 7
+    assert es.exceptional_zero()
 
 
 def test_euler_negative_power_carried():
