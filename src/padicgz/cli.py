@@ -18,6 +18,7 @@ from .formgen import (
     eisenstein_roots,
     elliptic_eisenstein,
     hilbert_eisenstein,
+    parallel_weight,
     pointcount_newform,
     random_depleted,
 )
@@ -55,11 +56,6 @@ def _ell(text: str):
     if len(ell) != 2:
         raise ConfigError(f"--l needs two weights l1,l2, got {text!r}")
     return ell
-
-
-def _parallel(ell):
-    if ell[0] != ell[1]:
-        raise ConfigError("the built-in eigenform family is parallel-weight")
 
 
 def _add_ring_args(sp, hilbert=False):
@@ -260,8 +256,7 @@ def _cmd_classify(args) -> int:
 def _demo_inputs(args, ell):
     ctx = context_for(args.D, args.p, args.N)
     ring = ctx.ring
-    _parallel(ell)
-    g = hilbert_eisenstein(ell[0], ctx, args.B)
+    g = hilbert_eisenstein(parallel_weight(ell), ctx, args.B)
     if args.basis:
         basis = basis_from_dict(read_json(args.basis))
         if basis.ring != ring:
@@ -317,13 +312,11 @@ def _cmd_aj(args) -> int:
 def _cmd_verify(args) -> int:
     ell = _ell(args.l)
     if args.suite == "gz-inert":
-        _parallel(ell)
         res = suites.suite_gz_inert(
             D=args.D, p=args.p, N=args.N, B=args.B,
-            s_values=(args.s,), deltas=(ell[0] - args.s - 2,),
+            s_values=(args.s,), deltas=(parallel_weight(ell) - args.s - 2,),
         )
     elif args.suite == "gz-split":
-        _parallel(ell)
         res = suites.suite_gz_split(
             D=args.D, p=args.p, N=args.N, B=args.B, ell=ell, s_values=(args.s,)
         )

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import BadPrime, ConfigError, NotEigenform, SingularCurve
-from .padic import PadicRing
+from .padic import PadicNum, PadicRing
 from .qexp import EllipticQExp, HilbertQExp, QExpContext
 from .quadfield import SUPPORT_DINV, factorize, ideal_divisors, tot_pos_enum
 
@@ -168,10 +168,18 @@ def hilbert_eisenstein(k: int, ctx: QExpContext, B: int) -> HilbertQExp:
             if norm not in powers:
                 powers[norm] = pow(norm, k - 1, ring.modulus)
             total += powers[norm]
-        coeffs[key] = ring.from_int(total)
+        coeffs[key] = PadicNum(ring, total % ring.modulus)
     out = HilbertQExp(ctx, SUPPORT_DINV, B, coeffs, weight_tag=(k, k))
     _eisenstein_self_check(out, k)
     return out
+
+
+def parallel_weight(ell) -> int:
+    """The weight w of ell = (w, w); ConfigError for a non-parallel ell, which
+    the built-in parallel-weight Eisenstein family does not reach."""
+    if ell[0] != ell[1]:
+        raise ConfigError("the built-in eigenform family is parallel-weight")
+    return ell[0]
 
 
 def eisenstein_roots(ctx: QExpContext, k: int) -> tuple:
@@ -214,11 +222,8 @@ def random_depleted(seed: int, ctx: QExpContext, B: int):
     rng = random.Random(seed)
     ring = ctx.ring
     coeffs = {}
-    for key in tot_pos_enum(ctx.field, SUPPORT_DINV, B):
-        if key == (0, 0):
-            continue
-        if any(ctx.sp.in_prime(key, i) for i in ctx.primes_above_p()):
-            continue
+    keys = tot_pos_enum(ctx.field, SUPPORT_DINV, B)
+    for key in ctx.sp.coprime_keys(keys, ctx.primes_above_p()):  # drops key 0
         a = rng.randrange(ring.modulus)
         if a % ring.p == 0:
             a += 1  # force a unit first coordinate

@@ -6,9 +6,11 @@ Powers of d_i run on one ladder (`HilbertQExp.d_ladder`): the terms
 c_j * d_i^(e - j) for consecutive j, for one or several scalar lists c,
 come from one power per coefficient at the exponent in use nearest zero
 and one plain-int (degree 1) or int-pair (degree 2) multiply per step, up
-by sigma_i(beta) and down by its inverse (all inverses at once,
-`batch_inverse`), summed unreduced, optionally onto the diagonal, each
-term reduced mod p^N as it is read; `d_char` is its one-term case.
+by sigma_i(beta) and down by its inverse, summed unreduced, optionally
+onto the diagonal, each term reduced mod p^N as it is read; `d_char` is
+its one-term case.  sigma_i(beta) and its inverse come as ints from the
+splitting's per-index entries (`PrimeSplitting.entries`), computed once
+per context, so `d` and the ladder take no norm or inverse of their own.
 
 Both products run on packed rows (`_product`): each trace row of
 coefficients becomes one big integer per coordinate, in slots too wide to
@@ -27,7 +29,7 @@ operators grow it.
 from __future__ import annotations
 
 from .errors import ConfigError, ConvergenceDomain, IndexMismatch, NonUnitIndex
-from .padic import PadicNum, batch_inverse, char_exponent, pair_pow
+from .padic import PadicNum, char_exponent, pair_pow
 from .quadfield import SUPPORT_DINV, check_support
 from .weights import WeightCharacter
 
@@ -143,8 +145,12 @@ class HilbertQExp:
 
     def d(self, i: int):
         """The derivation a_beta -> sigma_i(beta) a_beta."""
-        sp = self.ctx.sp
-        out = {k: v * sp.sigma(k, i) for k, v in self.coeffs.items()}
+        ring, entries = self.ring, self.ctx.sp.entries(self.coeffs, i)
+        m, c = ring.modulus, ring.nonresidue or 0
+        out = {
+            k: PadicNum(ring, (x.a * a + x.b * b % m * c) % m, (x.a * b + x.b * a) % m)
+            for (k, x), (a, b, _, _) in zip(self.coeffs.items(), entries)
+        }
         return self._like(out)
 
     def d_char(self, i: int, exponent):
@@ -163,15 +169,17 @@ class HilbertQExp:
 
         exponent is as in d_char.  Each coefficient takes one power at the
         exponent in use nearest zero, then one multiply per step: by
-        sigma_i(beta) up and by its inverse down, all inverses at once
-        (`batch_inverse` of the norms).  Steps are summed unreduced; a term
+        sigma_i(beta) up and by its inverse down, both read as ints from the
+        splitting's per-index entries (`PrimeSplitting.entries`), which a
+        None inverse marks as no unit.  Steps are summed unreduced; a term
         is reduced mod p^N as it is read off its row.  So non-unit indices
         are allowed while every term in use has a non-negative integer
         exponent; for a character the steps are exact on units (the CRT
         lift of u - j is E - j).  With restrict each term comes back as its
         elliptic zeta_star, summed by trace without the Hilbert term.
         """
-        sp, ring = self.ctx.sp, self.ring
+        ring, keys = self.ring, list(self.coeffs)
+        entries = self.ctx.sp.entries(keys, i)
         m, c = ring.modulus, ring.nonresidue or 0
         e, character = _power_exponent(exponent, ring)
         out = [[None] * len(s) for s in scalars]
@@ -188,52 +196,38 @@ class HilbertQExp:
         # each coefficient starts at the one nearest zero, pair at0 / 2
         start = min(max(0, e - low), e - top)
         at0, width = 2 * (start - (e - low)), 2 * (low - top + 1)
-        keys = list(self.coeffs)
-        sigmas = [sp.sigma(k, i) for k in keys]
-        if character or negative is not None:
-            what = "d-power" if character else f"d^({negative})"
-            for k, s in zip(keys, sigmas):
-                if not s.is_unit():
-                    raise NonUnitIndex(
-                        f"{what} at index {k}: sigma_{i} not a unit "
-                        "(input not depleted)"
-                    )
-        inverses = [None] * len(keys)
-        if negative is not None:
-            norms = [(s.a * s.a - s.b * s.b % m * c) % m for s in sigmas]
-            inverses = [
-                (s.a * n % m, -s.b * n % m)
-                for s, n in zip(sigmas, batch_inverse(norms, m))
-            ]
+        units_only = character or negative is not None
         rows = {}
-        for k, v, s, inverse in zip(keys, self.coeffs.values(), sigmas, inverses):
+        for k, v, (sa, sb, ia, ib) in zip(keys, self.coeffs.values(), entries):
+            if units_only and ia is None:
+                what = "d-power" if character else f"d^({negative})"
+                raise NonUnitIndex(
+                    f"{what} at index {k}: sigma_{i} not a unit (input not depleted)"
+                )
             where = k[1] if restrict else k
             row = rows.get(where)
             if row is None:
                 row = rows[where] = [0] * width
             if ring.degree == 1:  # plain ints in the a slots; the b slots stay 0
-                up, down = s.a, inverse and inverse[0]
-                x = w = v.a * pow(up if start >= 0 else down, abs(start), m) % m
+                x = w = v.a * pow(sa if start >= 0 else ia, abs(start), m) % m
                 row[at0] += w
                 for at in range(at0 + 2, width, 2):
-                    x *= up
+                    x *= sa
                     row[at] += x
                 for at in range(at0 - 2, -1, -2):
-                    w *= down
+                    w *= ia
                     row[at] += w
                 continue
-            base = inverse if start < 0 else (s.a, s.b)
+            base = (ia, ib) if start < 0 else (sa, sb)
             wa, wb = pair_pow(ring, *base, abs(start), v.a, v.b)
             row[at0] += wa
             row[at0 + 1] += wb
-            sa, sb = s.a, s.b
             sbc, xa, xb = sb * c % m, wa, wb
             for at in range(at0 + 2, width, 2):
                 xa, xb = xa * sa + xb * sbc, xa * sb + xb * sa
                 row[at] += xa
                 row[at + 1] += xb
             if at0:
-                ia, ib = inverse
                 ibc = ib * c % m
                 for at in range(at0 - 2, -1, -2):
                     wa, wb = wa * ia + wb * ibc, wa * ib + wb * ia
@@ -263,21 +257,13 @@ class HilbertQExp:
     def deplete(self, which="all"):
         """Zero the coefficients with index in the chosen primes above p.
 
-        which: 'all', or an iterable of prime labels in {1, 2} (split).
+        which: 'all', or an iterable of labels from ctx.primes_above_p().
         The beta = 0 term is always killed.
         """
-        sp = self.ctx.sp
-        if which == "all":
-            labels = self.ctx.primes_above_p()
-        else:
-            labels = tuple(which)
-        out = {}
-        for k, v in self.coeffs.items():
-            if k == (0, 0):
-                continue
-            if any(sp.in_prime(k, i) for i in labels):
-                continue
-            out[k] = v
+        labels = self.ctx.primes_above_p() if which == "all" else tuple(which)
+        kept = self.ctx.sp.coprime_keys(self.coeffs, labels)
+        out = {k: self.coeffs[k] for k in kept}
+        out.pop((0, 0), None)
         return self._like(out)
 
     def v(self, which: int = 1):

@@ -21,7 +21,7 @@ from .errors import (
     RamifiedPrime,
     UnsupportedField,
 )
-from .padic import PadicNum, PadicRing, hensel_sqrt, _tonelli_shanks
+from .padic import PadicNum, PadicRing, batch_inverse, hensel_sqrt, _tonelli_shanks
 
 # D -> fundamental unit a + b*phi (all with norm -1, so narrow h = h = 1)
 _NARROW_ONE_TABLE = {
@@ -159,6 +159,11 @@ class PrimeSplitting:
     Split: sigma_i are maps into Z/p^N with sigma_i(pi_i) of valuation 1.
     Inert: sigma_1 maps into the quadratic extension, sigma_2 = Frob o sigma_1.
     prime_norm is the norm of a prime above p: p split, p^2 inert.
+    Embeddings are labelled 1, 2 and primes 1, 2 (split) or 1 (inert); other
+    labels are a ConfigError.  `entries` keeps, per index key and embedding,
+    the ints (sigma_a, sigma_b, inv_a, inv_b) of sigma_i(key) and its inverse
+    (None for a non-unit) for the splitting's life; `coprime_keys` decides
+    membership in the primes from (a mod p, b mod p).
     """
 
     def __init__(self, field: RealQuadraticField, p: int, N: int):
@@ -184,13 +189,25 @@ class PrimeSplitting:
             w = hensel_sqrt(D * pow(c, -1, p**N) % p**N, p, N)
             self._sqrtD = self.ring.make(0, w.lift())
         inv2 = pow(2, -1, p**N)
-        self._sigma1_phi = (self.ring.one + self._sqrtD) * inv2
-        self._sigma2_phi = (self.ring.one - self._sqrtD) * inv2
-        self._inv_sqrtD = (self._sqrtD.inv(), (-self._sqrtD).inv())
-        self._cache = {}
+        one, root = self.ring.one, self._sqrtD
+        self._phi = {1: (one + root) * inv2, 2: (one - root) * inv2}
+        # sigma_i of the key (a, b) is a * u + b * w, u = 1/sigma_i(sqrt D)
+        # and w = sigma_i(phi) * u, kept as the coordinates (u_a, u_b, w_a, w_b)
+        self._key_basis = {}
+        for i, u in ((1, root.inv()), (2, (-root).inv())):
+            w = self._phi[i] * u
+            self._key_basis[i] = (u.a, u.b, w.a, w.b)
+        self._cache = {1: {}, 2: {}}  # embedding -> key -> entry
+        # a + b*phi lies in p_i iff a == -b * sigma_i(phi) mod p (split), and
+        # in (p) iff p divides a and b (inert)
         if self.kind == "split":
+            self._residues = {
+                i: frozenset((-b * self._phi[i].a % p, b) for b in range(p))
+                for i in (1, 2)
+            }
             self.pi1, self.pi2 = self._split_generators()
         else:
+            self._residues = {1: frozenset({(0, 0)})}
             self.pi1 = self.pi2 = None
 
     def _split_generators(self):
@@ -220,21 +237,39 @@ class PrimeSplitting:
             return pi, pib
         return pib, pi
 
+    def _embedding(self, which):
+        if which not in (1, 2):
+            raise ConfigError(f"embedding index {which!r} must be 1 or 2")
+        return which
+
     def embed(self, x, which: int) -> PadicNum:
         """p-adic embedding sigma_which of the element a + b*phi of O_L."""
         a, b = x
-        phi = self._sigma1_phi if which == 1 else self._sigma2_phi
-        return self.ring.make(a) + phi * b
+        return self.ring.make(a) + self._phi[self._embedding(which)] * b
+
+    def entries(self, keys, which: int) -> list:
+        """The entries (sigma_a, sigma_b, inv_a, inv_b) of sigma_which at the
+        index keys; the missing ones are added first, with one batch_inverse."""
+        cache = self._cache[self._embedding(which)]
+        try:
+            return [cache[k] for k in keys]
+        except KeyError:
+            pass
+        p, m, c = self.p, self.ring.modulus, self.ring.nonresidue or 0
+        ua, ub, wa, wb = self._key_basis[which]
+        fresh = {k: ((k[0] * ua + k[1] * wa) % m, (k[0] * ub + k[1] * wb) % m)
+                 for k in keys if k not in cache}
+        norms = [(a * a - b * b % m * c) % m for a, b in fresh.values()]
+        # an element is a unit iff its norm is; a non-unit's norm stands in as 1
+        inverses = batch_inverse([n if n % p else 1 for n in norms], m)
+        for (k, (a, b)), n, x in zip(fresh.items(), norms, inverses):
+            cache[k] = (a, b, a * x % m, -b * x % m) if n % p else (a, b, None, None)
+        return [cache[k] for k in keys]
 
     def sigma(self, key, which: int) -> PadicNum:
         """p-adic embedding sigma_which of the index key (a + b*phi)/sqrt(D)."""
-        got = self._cache.get((key, which))
-        if got is not None:
-            return got
-        inv = self._inv_sqrtD[0] if which == 1 else self._inv_sqrtD[1]
-        val = self.embed(key, which) * inv
-        self._cache[key, which] = val
-        return val
+        sa, sb, _, _ = self.entries((key,), which)[0]
+        return PadicNum(self.ring, sa, sb)
 
     def require(self, kind: str):
         """ConfigError unless p has the splitting kind a caller names."""
@@ -243,17 +278,25 @@ class PrimeSplitting:
                 f"p = {self.p} is {self.kind} in D = {self.field.D}, not {kind}"
             )
 
+    def _prime(self, which):
+        if which not in self._residues:
+            raise ConfigError(
+                f"p = {self.p} is {self.kind}: no prime above it labelled {which!r}"
+            )
+        return self._residues[which]
+
+    def coprime_keys(self, keys, labels) -> list:
+        """The index keys in none of the labelled primes above p, each read
+        off the residue (a mod p, b mod p) of its numerator a + b*phi."""
+        p, banned = self.p, frozenset().union(*map(self._prime, labels))
+        return [k for k in keys if (k[0] % p, k[1] % p) not in banned]
+
     def in_prime(self, x, which: int) -> bool:
         """Whether the index lies in p_which (inert: in (p))."""
-        a, b = x
-        p = self.p
-        if self.kind == "inert":
-            return a % p == 0 and b % p == 0
-        phi = self._sigma1_phi if which == 1 else self._sigma2_phi
-        s = phi.a % p  # embedding of phi mod p (degree 1 ring)
-        return (a + b * s) % p == 0
+        return not self.coprime_keys((x,), (which,))
 
     def prime_generator(self, which: int):
+        self._prime(which)
         if self.kind == "inert":
             return (self.p, 0)
         return self.pi1 if which == 1 else self.pi2

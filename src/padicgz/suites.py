@@ -17,6 +17,7 @@ from .formgen import (
     demo_basis,
     eisenstein_roots,
     hilbert_eisenstein,
+    parallel_weight,
     random_depleted,
     random_form,
 )
@@ -204,7 +205,7 @@ def suite_gz_split(D=5, p=11, N=12, B=40, ell=(8, 8), s_values=(0, 1)):
     t0 = time.perf_counter()
     ctx = context_for(D, p, N)
     ctx.sp.require("split")
-    g = hilbert_eisenstein(ell[0], ctx, B)
+    g = hilbert_eisenstein(parallel_weight(ell), ctx, B)
     details = []
     ok = True
     for s in s_values:

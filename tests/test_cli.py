@@ -46,6 +46,24 @@ def test_gen_deplete_support(tmp_path):
     assert read_json(gd)["coeffs"]
 
 
+@pytest.mark.parametrize("p,args", [
+    ("11", ["dpow", "--i", "3"]),
+    ("11", ["dpow", "--i", "0"]),
+    ("7", ["dpow", "--i", "3"]),
+    ("7", ["deplete", "--primes", "p2"]),
+])
+def test_apply_out_of_range_index_exit_code(tmp_path, capsys, p, args):
+    # no embedding 3 or 0; p = 7 is inert in Q(sqrt 5), so no prime p2
+    g = tmp_path / "g.json"
+    out = tmp_path / "out.json"
+    assert main(["gen", "random-depleted", "--seed", "3", "--D", "5", "--p", p,
+                 "--N", "6", "--B", "8", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert main(["apply", *args, "--in", str(g), "--out", str(out)]) == 3
+    assert "configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     assert main(["gen", "hilbert-eisenstein", "--k", "2", "--D", "6", "--p", "11",
                  "--N", "8", "--B", "10", "--out", str(tmp_path / "x.json")]) == 3

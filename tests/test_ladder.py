@@ -2,7 +2,10 @@
 
 The oracle raises each sigma_i(beta) to each exponent on its own, with
 pair_pow for integer exponents and ppow for character exponents; it never
-goes through d_char or the ladder.
+goes through d_char or the ladder.  The ladder reads sigma_i(beta) and its
+inverse from the splitting's per-index entries, so the same calls are also
+checked on a splitting with no entries against one that already holds some,
+and depletion is checked against the units of sigma_i.
 """
 
 import pytest
@@ -12,6 +15,8 @@ from padicgz.errors import ConfigError, NonUnitIndex
 from padicgz.formgen import random_depleted, random_form
 from padicgz.nearlyoc import nabla_pow, zeta_star_nabla_pow, zeta_star_noc
 from padicgz.padic import PadicNum, PadicRing, pair_pow, ppow
+from padicgz.qexp import HilbertQExp, QExpContext
+from padicgz.quadfield import SUPPORT_DINV, PrimeSplitting, tot_pos_enum
 from padicgz.serialize import context_for, noc_to_dict
 from padicgz.weights import WeightCharacter
 
@@ -178,3 +183,82 @@ def test_ladder_rejects_mixed_rings_and_torsion():
         assert term.coeff(key) == v * ppow(ctx.sp.sigma(key, 1), ch.u[0], ch.chi[0])
     with pytest.raises(ConfigError):
         f.d_ladder(1, ch, [(one, one)])
+
+
+def _fresh(ctx):
+    """A context equal to ctx on a new splitting, which holds no entries."""
+    return QExpContext(ctx.field, PrimeSplitting(ctx.field, ctx.p, ctx.N))
+
+
+def _on(ctx, f):
+    return HilbertQExp(ctx, SUPPORT_DINV, f.bound, f.coeffs, f.weight_tag)
+
+
+@given(ladder_cases())
+def test_fresh_and_warm_entries_agree(case):
+    # warm holds the entries of a smaller form that is not depleted, at both
+    # embeddings, so the calls below read some entries and fill the rest
+    ctx, i = case["ctx"], case["i"]
+    warm = _fresh(ctx)
+    small = random_form(case["seed"], warm, case["B"] - 1)
+    for j in (1, 2):
+        small.d(j)
+    f = random_depleted(case["seed"], ctx, case["B"])
+    args = (i, _exponent(case), [case["scalars"]], case["restrict"])
+    (cold,) = _on(_fresh(ctx), f).d_ladder(*args)
+    for _ in range(2):  # filling the rest, then reading every entry
+        (got,) = _on(warm, f).d_ladder(*args)
+        assert _terms(got) == _terms(cold)
+    g = random_form(case["seed"] + 1, ctx, case["B"])
+    want = _on(_fresh(ctx), g).d(i)
+    assert _on(warm, g).d(i) == want
+    assert _on(warm, g).d(i) == want
+
+
+@pytest.mark.parametrize("p", (7, 11))
+def test_non_unit_raises_after_entries_filled(p):
+    ctx = _fresh(context_for(5, p, N))
+    ring1 = PadicRing(p, N, 1)
+    # the non-classical character with finite part 1 and u = p
+    ch = WeightCharacter(ring1, ctx.ring.residue_order(), (ring1.from_int(p),), (1,))
+    f = random_form(2, ctx, 8)  # not depleted: index 0 and indices in p
+    one = ctx.ring.one
+    for i in (1, 2):
+        f.d_ladder(i, 2, [[one, one, one]])  # exponents 2, 1, 0 need no inverse
+        f.d(i)
+        with pytest.raises(NonUnitIndex):
+            f.d_char(i, -1)
+        with pytest.raises(NonUnitIndex):
+            f.d_ladder(i, 1, [[one, one, one]])
+        with pytest.raises(NonUnitIndex):
+            f.d_char(i, ch)
+        dep = f.deplete()
+        assert dep.d_char(i, -1).d(i) == dep
+
+
+@given(
+    p=st.sampled_from(sorted(FIELDS)),
+    which=st.integers(0, 1),
+    seed=st.integers(0, 999),
+    B=st.integers(0, 16),
+    data=st.data(),
+)
+def test_deplete_matches_embedding_units(p, which, seed, B, data):
+    # beta is in the prime p_i exactly when sigma_i of its numerator is no unit
+    ctx = context_for(FIELDS[p][which][0], p, N)
+    sp, primes = ctx.sp, ctx.primes_above_p()
+    labels = data.draw(st.sampled_from(["all", *[(i,) for i in primes], primes]))
+    chosen = primes if labels == "all" else labels
+
+    def kept(key, within):
+        return key != (0, 0) and all(sp.embed(key, i).is_unit() for i in within)
+
+    f = random_form(seed, ctx, B)
+    want = {k: v for k, v in f.coeffs.items() if kept(k, chosen)}
+    assert f.deplete(labels).coeffs == want
+    for key in f.coeffs:
+        for i in primes:
+            assert sp.in_prime(key, i) == (not sp.embed(key, i).is_unit())
+    keys = tot_pos_enum(ctx.field, SUPPORT_DINV, B)
+    want = {k for k in keys if kept(k, primes)}
+    assert set(random_depleted(seed, ctx, B).coeffs) == want

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from padicgz import suites
 from padicgz.errors import ConfigError, DecompositionFailed, PrecisionExhausted
 from padicgz.formgen import demo_basis, hilbert_eisenstein
 from padicgz.lvalue import (
@@ -209,6 +210,14 @@ def test_verify_gz_split():
     assert rep.agreement_valuation >= rep.certified_valuation
     # no 11-adic denominator losses at k = 12
     assert rep.notes[0]["denominator_loss"] == 0
+
+
+@pytest.mark.parametrize("ell", [(8, 10), (10, 8)])
+def test_suite_gz_split_rejects_non_parallel_weight(ell):
+    # the built-in family is parallel-weight: (8, 10) would check the weight
+    # (8, 8) series against the weight character of (8, 10)
+    with pytest.raises(ConfigError):
+        suites.suite_gz_split(D=5, p=11, N=8, B=20, ell=ell, s_values=(1,))
 
 
 def test_verify_gz_s_range_guard():

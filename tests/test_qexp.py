@@ -245,6 +245,40 @@ def test_v_support_inside_prime():
     assert not vf.deplete((2,)).is_zero()
 
 
+@pytest.mark.parametrize("ctx", contexts(), ids=["split", "inert"])
+def test_embedding_index_out_of_range(ctx):
+    f = random_depleted(3, ctx, 6)
+    empty = HilbertQExp(ctx, SUPPORT_DINV, 6)
+    for i in (0, 3, -1):
+        for form in (f, empty):
+            with pytest.raises(ConfigError):
+                form.d(i)
+            with pytest.raises(ConfigError):
+                form.d_char(i, 1)
+        with pytest.raises(ConfigError):
+            ctx.sp.sigma((0, 1), i)
+        with pytest.raises(ConfigError):
+            ctx.sp.embed((0, 1), i)
+
+
+@pytest.mark.parametrize("ctx", contexts(), ids=["split", "inert"])
+def test_prime_label_out_of_range(ctx):
+    f = random_form(5, ctx, 8)
+    labels = ctx.primes_above_p()
+    bad = [i for i in (0, 1, 2, 3) if i not in labels]
+    assert bad == ([0, 3] if ctx.sp.kind == "split" else [0, 2, 3])
+    for i in bad:
+        for op in (f.u, f.v, lambda i: f.t(i, 8), lambda i: f.deplete((i,))):
+            with pytest.raises(ConfigError):
+                op(i)
+        with pytest.raises(ConfigError):
+            f.deplete((labels[0], i))
+        with pytest.raises(ConfigError):
+            ctx.sp.in_prime((0, 1), i)
+        with pytest.raises(ConfigError):
+            ctx.sp.prime_generator(i)
+
+
 def test_split_generator_sanity():
     assert L.mul(CTX11.sp.pi1, CTX11.sp.pi2) == (11, 0)
 
