@@ -163,7 +163,7 @@ class PrimeSplitting:
     labels are a ConfigError.  `entries` keeps, per index key and embedding,
     the ints (sigma_a, sigma_b, inv_a, inv_b) of sigma_i(key) and its inverse
     (None for a non-unit) for the splitting's life; `coprime_keys` decides
-    membership in the primes from (a mod p, b mod p).
+    membership in the primes from sigma_i(phi) mod p, kept per label.
     """
 
     def __init__(self, field: RealQuadraticField, p: int, N: int):
@@ -198,16 +198,12 @@ class PrimeSplitting:
             w = self._phi[i] * u
             self._key_basis[i] = (u.a, u.b, w.a, w.b)
         self._cache = {1: {}, 2: {}}  # embedding -> key -> entry
-        # a + b*phi lies in p_i iff a == -b * sigma_i(phi) mod p (split), and
-        # in (p) iff p divides a and b (inert)
         if self.kind == "split":
-            self._residues = {
-                i: frozenset((-b * self._phi[i].a % p, b) for b in range(p))
-                for i in (1, 2)
-            }
+            # prime label -> sigma_i(phi) mod p, read by coprime_keys
+            self._phi_mod = {i: self._phi[i].a % p for i in (1, 2)}
             self.pi1, self.pi2 = self._split_generators()
         else:
-            self._residues = {1: frozenset({(0, 0)})}
+            self._phi_mod = {1: None}  # the one prime (p)
             self.pi1 = self.pi2 = None
 
     def _split_generators(self):
@@ -279,21 +275,27 @@ class PrimeSplitting:
             )
 
     def _prime(self, which):
-        if which not in self._residues:
+        if which not in self._phi_mod:
             raise ConfigError(
                 f"p = {self.p} is {self.kind}: no prime above it labelled {which!r}"
             )
-        return self._residues[which]
+        return self._phi_mod[which]
 
     def coprime_keys(self, keys, labels) -> list:
-        """The index keys in none of the labelled primes above p, each read
-        off the residue (a mod p, b mod p) of its numerator a + b*phi."""
-        p, banned = self.p, frozenset().union(*map(self._prime, labels))
-        return [k for k in keys if (k[0] % p, k[1] % p) not in banned]
-
-    def in_prime(self, x, which: int) -> bool:
-        """Whether the index lies in p_which (inert: in (p))."""
-        return not self.coprime_keys((x,), (which,))
+        """The index keys in none of the labelled primes above p.  The key
+        lies in p_i iff its numerator a + b*phi does: inert, iff p divides a
+        and b; split, iff p divides a + b * sigma_i(phi), and in p_1 or p_2
+        iff p divides the norm."""
+        p, roots = self.p, {self._prime(w) for w in labels}
+        if not roots:
+            return list(keys)
+        if self.kind == "inert":
+            return [k for k in keys if k[0] % p or k[1] % p]
+        if len(roots) == 1:
+            (s,) = roots
+            return [k for k in keys if (k[0] + k[1] * s) % p]
+        n = self.field.phi_norm
+        return [k for k in keys if (k[0] * (k[0] + k[1]) + n * k[1] * k[1]) % p]
 
     def prime_generator(self, which: int):
         self._prime(which)

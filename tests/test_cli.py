@@ -46,6 +46,17 @@ def test_gen_deplete_support(tmp_path):
     assert read_json(gd)["coeffs"]
 
 
+def test_gen_deplete_at_a_large_split_prime(tmp_path):
+    # 10^9 + 9 is split in Q(sqrt 5); depletion takes O(1) per key there too
+    g = tmp_path / "g.json"
+    gd = tmp_path / "gd.json"
+    assert main(["gen", "random-depleted", "--seed", "3", "--D", "5", "--p",
+                 "1000000009", "--N", "2", "--B", "4", "--out", str(g)]) == 0
+    assert main(["apply", "deplete", "--in", str(g), "--out", str(gd),
+                 "--primes", "p1"]) == 0
+    assert read_json(gd)["coeffs"] == read_json(g)["coeffs"]
+
+
 @pytest.mark.parametrize("p,args", [
     ("11", ["dpow", "--i", "3"]),
     ("11", ["dpow", "--i", "0"]),

@@ -256,9 +256,9 @@ def test_deplete_matches_embedding_units(p, which, seed, B, data):
     f = random_form(seed, ctx, B)
     want = {k: v for k, v in f.coeffs.items() if kept(k, chosen)}
     assert f.deplete(labels).coeffs == want
-    for key in f.coeffs:
-        for i in primes:
-            assert sp.in_prime(key, i) == (not sp.embed(key, i).is_unit())
+    for i in primes:
+        want = [k for k in f.coeffs if sp.embed(k, i).is_unit()]
+        assert sp.coprime_keys(f.coeffs, (i,)) == want
     keys = tot_pos_enum(ctx.field, SUPPORT_DINV, B)
     want = {k for k in keys if kept(k, primes)}
     assert set(random_depleted(seed, ctx, B).coeffs) == want

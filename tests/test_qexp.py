@@ -274,9 +274,26 @@ def test_prime_label_out_of_range(ctx):
         with pytest.raises(ConfigError):
             f.deplete((labels[0], i))
         with pytest.raises(ConfigError):
-            ctx.sp.in_prime((0, 1), i)
+            ctx.sp.coprime_keys([(0, 1)], (i,))
         with pytest.raises(ConfigError):
             ctx.sp.prime_generator(i)
+
+
+def test_deplete_at_a_large_split_prime():
+    # membership costs O(1) per context and key, whatever the size of p
+    p = 10**9 + 9  # 4 mod 5, so split in D = 5
+    sp = splitting_type(L, p, 2)
+    assert sp.kind == "split"
+    pi1, pi2 = sp.pi1, sp.pi2
+    keys = [(0, 1), pi1, pi2, (p, 0), (0, 0)]
+    assert sp.coprime_keys(keys, (1,)) == [(0, 1), pi2]
+    assert sp.coprime_keys(keys, (2,)) == [(0, 1), pi1]
+    assert sp.coprime_keys(keys, (1, 2)) == [(0, 1)]
+    ctx = QExpContext(L, sp)
+    bound = max(k[1] for k in keys)
+    f = HilbertQExp(ctx, SUPPORT_DINV, bound, {k: ctx.ring.one for k in keys})
+    assert set(f.deplete().coeffs) == {(0, 1)}
+    assert set(f.deplete((2,)).coeffs) == {(0, 1), pi1}
 
 
 def test_split_generator_sanity():
