@@ -50,6 +50,13 @@ def _ints(text: str):
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{flag} expects an integer, got {text!r}") from None
+
+
 def _ell(text: str):
     """The two weights of --l."""
     ell = _ints(text)
@@ -154,6 +161,8 @@ def _build_parser():
 
 
 def _cmd_gen(args) -> int:
+    if args.B < 0:
+        raise ConfigError(f"--B must be >= 0, got {args.B}")
     ring = PadicRing(args.p, args.N)
     if args.recipe == "eisenstein":
         out = form_to_dict(elliptic_eisenstein(args.k, args.B, ring))
@@ -179,7 +188,7 @@ def _cmd_apply(args) -> int:
     doc = read_json(args.infile)
     if args.op == "ocproj":
         gamma = noc_from_dict(doc)
-        k = int(args.weight) if args.weight else None
+        k = _int(args.weight, "--weight") if args.weight else None
         res = oc_project(gamma, k)
         write_json(args.out, form_to_dict(res.form))
         print(

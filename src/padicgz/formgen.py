@@ -110,6 +110,8 @@ def _count_points(ainvs, ell: int) -> int:
 def pointcount_newform(ainvs, B: int, ring: PadicRing) -> EllipticQExp:
     """Weight-2 newform coefficients from point counts over F_ell."""
     ainvs = tuple(ainvs)
+    if len(ainvs) != 5:
+        raise ConfigError(f"a curve needs five a-invariants, got {len(ainvs)}")
     if _curve_discriminant(*ainvs) == 0:
         raise SingularCurve(f"curve {ainvs} is singular")
     if ainvs not in _SUPPORTED_CURVES:
@@ -244,14 +246,7 @@ def random_form(seed: int, ctx: QExpContext, B: int):
     return HilbertQExp(ctx, SUPPORT_DINV, B, coeffs)
 
 
-def random_elliptic(seed: int, ring: PadicRing, B: int) -> EllipticQExp:
-    rng = random.Random(seed)
-    return EllipticQExp(
-        ring, B, {n: ring.make(rng.randrange(ring.modulus)) for n in range(B + 1)}
-    )
-
-
-def demo_basis(ring: PadicRing, B: int, tame_level: int = 1):
+def demo_basis(ring: PadicRing, B: int):
     """The shipped weight-12 classical basis {E12, V E12, Delta, V Delta}
     with its eigen data; U-stability is certified at runtime, not trusted."""
     from .heckeslope import ClassicalBasis, EigenBlock
@@ -266,4 +261,4 @@ def demo_basis(ring: PadicRing, B: int, tame_level: int = 1):
         EigenBlock(0, 1, a_p=ring.from_int(1 + p**11), nebentype=ring.one),
         EigenBlock(2, 3, a_p=D.coeff(p), nebentype=ring.one),
     ]
-    return ClassicalBasis(ring, 12, tame_level, forms, blocks)
+    return ClassicalBasis(ring, 12, 1, forms, blocks)

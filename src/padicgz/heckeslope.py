@@ -260,12 +260,18 @@ def coordinates(basis: ClassicalBasis, gamma: EllipticQExp, on_residual="raise")
     """Coordinates of gamma in the basis (ScaledPadic entries, precision
     capped by the basis determinant valuation), with a residual check up
     to the common depth of the basis and gamma.  A nonzero residual raises
-    NotInSpan, or with on_residual='flag' sets in_span to False.
+    NotInSpan, or with on_residual='flag' sets in_span to False.  A gamma
+    whose bound stops short of the last canonical row is a ConfigError.
 
     Returns (coords, det_loss, in_span).
     """
     ring = basis.ring
     idx, rows, det = canonical_rows(basis)
+    if gamma.bound < idx[-1]:
+        raise ConfigError(
+            f"input bound {gamma.bound} is below the basis's canonical row "
+            f"{idx[-1]}: use a bound >= {idx[-1]}"
+        )
     det_loss = det.valuation()
     vec = [gamma.coeff(m) for m in idx]
     coords = _cofactor_solve(rows, det, vec, ring)
@@ -340,26 +346,6 @@ def slope_project(
     if form is None:
         form = EllipticQExp(ring, basis.depth)
     return SlopeProjection(coords, kept, form, shift, in_span, budget)
-
-
-@dataclass
-class SlopeDecomposition:
-    """U-matrix, eigen blocks grouped by slope, and (when the block
-    separations are integral) the projector matrix onto slope <= a."""
-
-    matrix: list
-    blocks: list
-    slope_bound: object
-    projector: Optional[list]
-
-
-def slope_decomposition(basis: ClassicalBasis, a) -> SlopeDecomposition:
-    M = u_matrix(basis)
-    try:
-        P = projector_matrix(basis, a)
-    except UnderDetermined:
-        P = None  # non-integral separation: use slope_project coordinatewise
-    return SlopeDecomposition(M, list(basis.blocks), a, P)
 
 
 def projector_matrix(basis: ClassicalBasis, a):

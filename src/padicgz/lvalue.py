@@ -21,7 +21,6 @@ from .errors import (
     NotEigenform,
 )
 from .nearlyoc import (
-    ELLIPTIC,
     NearlyOCExpansion,
     degree_agreements,
     from_omega_eta,
@@ -256,7 +255,7 @@ def _tau_scalars(ring, ell1: int, s: int) -> list:
 def _tau_expansion(inner, k: int) -> NearlyOCExpansion:
     """sum_i inner[i] omega^(k-2-i) eta^i dq/q."""
     entries = [(z, k - 2 - i, i, True) for i, z in enumerate(inner)]
-    return from_omega_eta(entries, _echar(inner[0].ring, k), ELLIPTIC)
+    return from_omega_eta(entries, _echar(inner[0].ring, k))
 
 
 def _tau_sum(h: HilbertQExp, ell1: int, s: int, k: int, top: int):
@@ -291,8 +290,7 @@ def tau_image(h: HilbertQExp, ell1: int, s: int, k: int) -> NearlyOCExpansion:
 class SplitPrimitives:
     """The split-case pieces that the identity checks read, assembled and
     verified by build_split_primitives: h = h_main - h_corr, h1 and h2
-    from the twisted three-piece polynomials poly_A_hat and poly_B_hat,
-    and tau H, the tau-image of h."""
+    from the twisted three-piece polynomials poly_A_hat and poly_B_hat."""
 
     ell: tuple
     s: int
@@ -307,7 +305,6 @@ class SplitPrimitives:
     h2: HilbertQExp
     poly_A_hat: dict
     poly_B_hat: dict
-    tau_H: NearlyOCExpansion
     h_main: HilbertQExp
     h_corr: HilbertQExp  # u * V_0(p)^2 h_main, so h = h_main - h_corr
 
@@ -340,8 +337,9 @@ def _untwist(poly, splitting, which_embed: int, exponent: int):
 def build_split_primitives(
     g: HilbertQExp, roots, ell, s: int, k: int
 ) -> SplitPrimitives:
-    """Assemble (h, h1, h2) and tau H for a split prime and a
-    T_0-eigenform g with the given Hecke roots.
+    """Assemble (h, h1, h2) for a split prime and a T_0-eigenform g with
+    the given Hecke roots, keeping (ell, s, k) for the tau-sums that read
+    them; s outside 0..ell1-2 is a ConfigError.
 
     The canonical one-sided splitting is used: g^[p_j] = d_j^(ell_j - 1)
     of an overconvergent form, which is valid because sigma_j is a unit on
@@ -357,6 +355,8 @@ def build_split_primitives(
     ell = tuple(ell)
     if ell[0] != ell[1]:
         raise ConfigError("eigen data normalization is pinned for parallel weights")
+    if not 0 <= s <= ell[0] - 2:
+        raise ConfigError(f"s = {s} outside 0..ell1-2 = {ell[0] - 2}")
     alpha1, beta1, alpha2, beta2 = roots
     lam = (alpha1 + beta1, alpha2 + beta2)
     c = (alpha1 * beta1, alpha2 * beta2)
@@ -438,17 +438,9 @@ def build_split_primitives(
         h2=h2,
         poly_A_hat=poly_A_hat,
         poly_B_hat=poly_B_hat,
-        tau_H=tau_image(h, ell[0], s, k),
         h_main=h_main,
         h_corr=h_corr,
     )
-
-
-def build_h_prime(g: HilbertQExp, ell, s: int, k: int) -> NearlyOCExpansion:
-    """gz_sum of the fully depleted g: H' at a split prime, and at an
-    inert prime tau G, which is the same sum over the single inert
-    depletion."""
-    return gz_sum(g.deplete("all"), ell[0], s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +729,7 @@ def aj_value(
         raise ConfigError(
             f"{kind} p = {ctx.p} needs {want} Hecke roots, got {len(roots)}"
         )
-    gz_noc = build_h_prime(g, ell, s, k)
+    gz_noc = gz_sum(g.deplete("all"), ell[0], s, k)
     euler = euler_factors(roots, (block.alpha, block.beta), -s - 1)
     report = EvaluationReport(
         kind=f"aj-{kind}",
@@ -814,7 +806,7 @@ def kappa_structural(block: EigenBlock) -> ScaledPadic:
 
 
 def verify_e0p_relation(
-    prim: SplitPrimitives, basis: ClassicalBasis, block: EigenBlock, kappa=None
+    prim: SplitPrimitives, basis: ClassicalBasis, block: EigenBlock
 ):
     """The split-case pairing invariant
 
@@ -826,8 +818,7 @@ def verify_e0p_relation(
     ctx = prim.g_pp.ctx
     ring = ctx.ring
     ell1, s, k = prim.ell[0], prim.s, prim.k
-    if kappa is None:
-        kappa = kappa_empirical(basis, block)
+    kappa = kappa_empirical(basis, block)
 
     part0 = oc_project(tau_image(prim.h_main, ell1, s, k), k)
     corr = oc_project(tau_image(prim.h_corr, ell1, s, k), k)

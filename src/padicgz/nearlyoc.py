@@ -3,8 +3,8 @@
 A nearly overconvergent expansion is a finite polynomial in the fiber
 coordinates V_sigma whose coefficients are q-expansions, together with a
 weight tag.  The canonical internal form stores the full coefficient of
-each V-monomial; the presentation with p^j extracted per degree is a
-derived accessor that divides exactly and fails loudly.
+each V-monomial, p^j included at V-degree j; the overconvergent
+projection divides the p^j out exactly and fails loudly.
 
 Provided here: the Gauss-Manin operators nabla_i and their p-adic
 iteration nabla_pow, diagonal restriction, the omega/eta monomial
@@ -60,9 +60,6 @@ class NearlyOCExpansion:
         for c in self.terms.values():
             return c.ring
         return None
-
-    def filtration_level(self) -> int:
-        return max((sum(d) for d, c in self.terms.items() if not c.is_zero()), default=0)
 
     def term(self, deg):
         if isinstance(deg, tuple):
@@ -234,62 +231,27 @@ def zeta_star_noc(gamma: NearlyOCExpansion) -> NearlyOCExpansion:
     return NearlyOCExpansion(ELLIPTIC, char_shift(gamma.weight, None, "restrict"), out)
 
 
-def from_omega_eta(entries, weight: WeightCharacter, flavor=ELLIPTIC):
-    """Assemble a nearly overconvergent expansion from omega/eta monomials.
-
-    Elliptic entries: (coefficient, omega_exp, eta_exp, dlog_flag) with
+def from_omega_eta(entries, weight: WeightCharacter):
+    """Assemble an elliptic nearly overconvergent expansion from omega/eta
+    monomials: entries (coefficient, omega_exp, eta_exp, dlog_flag) with
     omega_exp + eta_exp + 2*dlog == k.  The eta-power b contributes at
-    V-degree b with the exact bookkeeping factor p^b.  Hilbert entries
-    carry per-embedding exponent pairs and dlog flags.
+    V-degree b with the exact bookkeeping factor p^b.
     """
     if weight.classical is None:
         raise WeightMismatch("omega/eta assembly needs a classical weight tag")
+    k = weight.classical[0]
     out = {}
-    for entry in entries:
-        coeff, a, b, dlog = entry
-        if flavor == ELLIPTIC:
-            a, b, dlog = (a,), (b,), (dlog,)
-        for ai, bi, di, ki in zip(a, b, dlog, weight.classical):
-            if ai + bi + 2 * int(di) != ki:
-                raise WeightMismatch(
-                    f"omega^{ai} eta^{bi} dlog^{int(di)} does not have weight {ki}"
-                )
-        deg = tuple(b)
+    for coeff, a, b, dlog in entries:
+        if a + b + 2 * int(dlog) != k:
+            raise WeightMismatch(
+                f"omega^{a} eta^{b} dlog^{int(dlog)} does not have weight {k}"
+            )
         ring = coeff.ring
-        term = coeff.scale(ring.from_int(ring.p ** sum(b)))
-        out[deg] = term if deg not in out else out[deg] + term
-    res = NearlyOCExpansion(flavor, weight, out)
+        term = coeff.scale(ring.from_int(ring.p**b))
+        out[(b,)] = term if (b,) not in out else out[(b,)] + term
+    res = NearlyOCExpansion(ELLIPTIC, weight, out)
     res.assert_divisibility()
     return res
-
-
-def to_omega_eta(gamma: NearlyOCExpansion, dlog: bool = False):
-    """Derived accessor: the (gamma_j, omega-exp, eta-exp, dlog) table with
-    the p^j factors divided out exactly."""
-    if gamma.weight.classical is None:
-        raise WeightMismatch("omega/eta accessor needs a classical weight tag")
-    entries = []
-    for deg in gamma.degrees():
-        j = sum(deg)
-        c = gamma.terms[deg]
-        try:
-            stripped = _scale_down(c, j)
-        except NonUnitInverse as e:
-            raise InsufficientValuation(str(e)) from None
-        if gamma.flavor == ELLIPTIC:
-            k = gamma.weight.classical[0]
-            entries.append((stripped, k - j - 2 * int(dlog), j, dlog))
-        else:
-            ks = gamma.weight.classical
-            entries.append(
-                (
-                    stripped,
-                    tuple(k - d - 2 * int(dlog) for k, d in zip(ks, deg)),
-                    deg,
-                    (dlog, dlog),
-                )
-            )
-    return entries
 
 
 def _scale_down(f, j: int):

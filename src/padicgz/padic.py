@@ -236,12 +236,6 @@ class PadicNum:
     def __pow__(self, e: int) -> "PadicNum":
         return PadicNum(self.ring, *pair_pow(self.ring, self.a, self.b, e))
 
-    def frobenius(self) -> "PadicNum":
-        """Ring Frobenius; the identity on the degree-1 ring."""
-        if self.ring.degree == 1:
-            return self
-        return PadicNum(self.ring, self.a, (-self.b) % self.ring.modulus)
-
     def truncate(self, ring: PadicRing) -> "PadicNum":
         """Reduce to a ring of the same (p, f) at precision <= N."""
         if ring.p != self.ring.p or ring.degree != self.ring.degree:

@@ -94,9 +94,6 @@ class RealQuadraticField:
         a, b = x
         return a * a + a * b - b * b * (self.D - 1) // 4
 
-    def mul_int(self, x, n: int):
-        return (x[0] * n, x[1] * n)
-
     def divide_exact(self, x, y):
         """x / y in O_L, or None when y does not divide x."""
         n = self.norm(y)
@@ -302,10 +299,6 @@ class PrimeSplitting:
         if self.kind == "inert":
             return (self.p, 0)
         return self.pi1 if which == 1 else self.pi2
-
-
-def splitting_type(field: RealQuadraticField, p: int, N: int) -> PrimeSplitting:
-    return PrimeSplitting(field, p, N)
 
 
 def tot_pos_enum(field: RealQuadraticField, support: str, B: int):

@@ -16,7 +16,7 @@ from .heckeslope import ClassicalBasis, EigenBlock
 from .nearlyoc import NearlyOCExpansion
 from .padic import PadicNum, PadicRing
 from .qexp import EllipticQExp, HilbertQExp, QExpContext
-from .quadfield import SUPPORT_DINV, make_field, splitting_type
+from .quadfield import SUPPORT_DINV, PrimeSplitting, make_field
 from .weights import WeightCharacter
 
 FORM_VERSION = 1
@@ -28,7 +28,7 @@ def context_for(D: int, p: int, N: int) -> QExpContext:
     key = (D, p, N)
     if key not in _CTX_CACHE:
         field = make_field(D)
-        _CTX_CACHE[key] = QExpContext(field, splitting_type(field, p, N))
+        _CTX_CACHE[key] = QExpContext(field, PrimeSplitting(field, p, N))
     return _CTX_CACHE[key]
 
 
@@ -314,8 +314,7 @@ def check_report(doc) -> dict:
     """An evaluation report file's document, with every field that
     `padicgz report` reads type-checked; SchemaError otherwise."""
     where = "report"
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected an object")
+    _require(doc, "kind", where, str)
     if doc.get("value") is not None:
         val = _require(doc, "value", where, dict)
         at = where + ".value"

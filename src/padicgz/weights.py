@@ -64,15 +64,6 @@ class WeightCharacter:
             cls_part[i] += delta
         return WeightCharacter(self.ring1, self.torsion_order, u, chi, cls_part)
 
-    def minus_int(self, m: int) -> "WeightCharacter":
-        """The exponent character u - m (all embeddings), used for d-powers."""
-        u = tuple(x - self.ring1.from_int(m) for x in self.u)
-        chi = tuple(c - m for c in self.chi)
-        cls_part = None
-        if self.classical is not None:
-            cls_part = tuple(x - m for x in self.classical)
-        return WeightCharacter(self.ring1, self.torsion_order, u, chi, cls_part)
-
     def __eq__(self, other):
         return (
             isinstance(other, WeightCharacter)
@@ -161,22 +152,3 @@ def classify_pair(pair: WeightPair) -> Classification:
             special = ell == (2, 2) and k == 2
             return Classification("balanced", s=s, weight2_special=special)
     return Classification("neither")
-
-
-def rho_lambda(k: WeightCharacter, r: WeightCharacter, n: int):
-    """The denominator-control data: rho = sum over both embeddings of
-    u_k + u_r, and lambda = prod_{i=0..n} (rho - i).
-
-    Returns (rho, lam, degraded) where degraded flags a lambda of positive
-    valuation (the locus where overconvergent-projection denominators
-    degrade).  Never raises; the flag is informational.
-    """
-    if k.arity != 2 or r.arity != 2:
-        raise ConfigError("rho_lambda expects two-embedding characters")
-    ring = k.ring1
-    rho = k.u[0] + r.u[0] + k.u[1] + r.u[1]
-    lam = ring.one
-    for i in range(n + 1):
-        lam = lam * (rho - ring.from_int(i))
-    degraded = lam.is_zero() or lam.valuation() > 0
-    return rho, lam, degraded

@@ -196,6 +196,49 @@ def test_malformed_integer_list_exit_code(capsys, case):
     assert "configuration" in captured.err and reason in captured.err
 
 
+OUT = ["--out", "{out}"]
+BAD_INPUTS = {
+    "ocproj non-integer weight": (
+        ["apply", "ocproj", "--in", "{noc}", "--weight", "x", *OUT], "--weight"),
+    "curve two a-invariants": (
+        ["gen", "curve", "--p", "7", "--ainvs", "1,2", *OUT], "a-invariants"),
+    "delta negative bound": (["gen", "delta", "--p", "7", "--B", "-1", *OUT], "--B"),
+    "eisenstein negative bound": (
+        ["gen", "eisenstein", "--p", "7", "--B", "-3", *OUT], "--B"),
+    "report of a form file": (["report", "--in", "{form}"], "missing field 'kind'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(tmp_path, capsys, case):
+    # a named configuration error: no traceback, no form with a negative
+    # bound, no report rendered with kind None
+    form, noc, out = tmp_path / "form.json", tmp_path / "noc.json", tmp_path / "o.json"
+    assert main(["gen", "hilbert-eisenstein", "--k", "4", "--D", "5", "--p", "7",
+                 "--N", "4", "--B", "6", "--out", str(form)]) == 0
+    assert main(["apply", "nabla", "--in", str(form), "--out", str(noc)]) == 0
+    capsys.readouterr()
+    argv, reason = BAD_INPUTS[case]
+    assert main([a.format(form=form, noc=noc, out=out) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert "configuration" in captured.err and reason in captured.err
+    assert "kind:" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,p", [(c, p) for c in ("lvalue", "aj") for p in (7, 11)])
+def test_bound_grid_exit_codes(capsys, command, p):
+    # exit 2 only when an identity was compared: a --B below the demo
+    # basis's canonical rows is a configuration error, not a failed check
+    kind = {"lvalue": "--balanced", "aj": "--inert" if p == 7 else "--split"}[command]
+    for N in (1, 8, 12):
+        for B in (0, 1, p - 1, p, 40):
+            argv = [command, kind, "--D", "5", "--p", str(p), "--l", "8,8", "--s", "1",
+                    "--N", str(N), "--B", str(B)]
+            assert main(argv) in (0, 3, 4), " ".join(argv)
+            capsys.readouterr()
+
+
 @pytest.mark.parametrize("suite,p", [("gz-inert", "7"), ("gz-split", "11")])
 def test_verify_empty_depleted_input_exit_code(capsys, suite, p):
     # at B = 0 the depleted form has no coefficient, so nothing is compared
@@ -283,17 +326,19 @@ def test_euler_and_report_render(tmp_path, capsys):
 
 REPORT_MALFORMED = {
     "a list": [1, 2],
+    "kind missing": {"value": None},
+    "kind an int": {"kind": 3},
     "value an int": {"kind": "x", "value": 5},
-    "value without mantissa": {"value": {"zero": False}},
-    "zero value without precision": {"value": {"zero": True}},
-    "budget entry a string": {"budget": ["x"]},
-    "budget digits a string": {"budget": [{"op": "x", "digits": "1"}]},
-    "flags a string": {"flags": "abc"},
-    "table row an int": {"agreement_valuation": 3, "certified_valuation": 3,
-                         "agreement_table": [3]},
-    "table an int": {"agreement_valuation": 3, "certified_valuation": 3,
-                     "agreement_table": 3},
-    "certified valuation missing": {"agreement_valuation": 3,
+    "value without mantissa": {"kind": "x", "value": {"zero": False}},
+    "zero value without precision": {"kind": "x", "value": {"zero": True}},
+    "budget entry a string": {"kind": "x", "budget": ["x"]},
+    "budget digits a string": {"kind": "x", "budget": [{"op": "x", "digits": "1"}]},
+    "flags a string": {"kind": "x", "flags": "abc"},
+    "table row an int": {"kind": "x", "agreement_valuation": 3,
+                         "certified_valuation": 3, "agreement_table": [3]},
+    "table an int": {"kind": "x", "agreement_valuation": 3,
+                     "certified_valuation": 3, "agreement_table": 3},
+    "certified valuation missing": {"kind": "x", "agreement_valuation": 3,
                                     "agreement_table": []},
 }
 

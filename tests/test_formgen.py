@@ -16,12 +16,12 @@ from padicgz.formgen import (
 )
 from padicgz.padic import PadicRing
 from padicgz.qexp import HilbertQExp, QExpContext
-from padicgz.quadfield import SUPPORT_DINV, make_field, splitting_type, tot_pos_enum
+from padicgz.quadfield import SUPPORT_DINV, PrimeSplitting, make_field, tot_pos_enum
 
 R = PadicRing(7, 12)
 L = make_field(5)
-CTX7 = QExpContext(L, splitting_type(L, 7, 12))
-CTX11 = QExpContext(L, splitting_type(L, 11, 12))
+CTX7 = QExpContext(L, PrimeSplitting(L, 7, 12))
+CTX11 = QExpContext(L, PrimeSplitting(L, 11, 12))
 
 
 def _hash_elliptic(f):

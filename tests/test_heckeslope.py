@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from padicgz.errors import EqualSlopes, NotInSpan, NotUStable
-from padicgz.formgen import delta_form, demo_basis, elliptic_eisenstein, random_elliptic
+from padicgz.errors import EqualSlopes, NotInSpan, NotUStable, UnderDetermined
+from padicgz.formgen import delta_form, demo_basis, elliptic_eisenstein
 from padicgz.heckeslope import (
     canonical_rows,
     coordinates,
@@ -20,6 +20,8 @@ from padicgz.heckeslope import (
 )
 from padicgz.padic import PadicRing, ScaledPadic
 from padicgz.qexp import EllipticQExp, agreement_valuation
+
+from helpers import random_elliptic
 
 R = PadicRing(7, 12)
 B = 98
@@ -198,6 +200,9 @@ def test_ordinary_projector_two_routes():
     for i in range(4):
         for j in range(4):
             assert (P[i][j] - Q[i][j]).valuation() >= 10
+    # a = 1 needs the Delta block, whose separation is non-integral at p = 7
+    with pytest.raises(UnderDetermined):
+        projector_matrix(basis, 1)
 
 
 def test_newton_slope_balance():
@@ -223,14 +228,3 @@ def test_u_matrix_single_block():
     M = u_matrix(basis)
     assert M[0][0] == D.coeff(7)
 
-
-def test_slope_decomposition_type():
-    from padicgz.heckeslope import slope_decomposition
-
-    basis = demo_basis(R, B)
-    dec = slope_decomposition(basis, 0)
-    assert dec.projector is not None and dec.matrix[0][1] == R.one
-    assert dec.slope_bound == 0 and len(dec.blocks) == 2
-    # a = 1 needs the Delta block whose separation is non-integral at p = 7
-    dec1 = slope_decomposition(basis, 1)
-    assert dec1.projector is None

@@ -13,7 +13,6 @@ from padicgz.lvalue import (
     EulerFactorSet,
     apply_vpoly,
     build_split_primitives,
-    build_h_prime,
     euler_factors,
     gz_sides,
     gz_sum,
@@ -21,6 +20,7 @@ from padicgz.lvalue import (
     main_theorem_residual,
     split_poly_decomp,
     split_poly_decomp3,
+    tau_image,
     u_annihilation_certificate,
     verify_e0p_relation,
     verify_gz,
@@ -30,14 +30,14 @@ from padicgz.lvalue import (
 from padicgz.nearlyoc import zeta_star_nabla_pow
 from padicgz.padic import PadicRing, ScaledPadic
 from padicgz.qexp import QExpContext, agreement_valuation
-from padicgz.quadfield import make_field, splitting_type
+from padicgz.quadfield import PrimeSplitting, make_field
 from padicgz.serialize import noc_to_dict
 from padicgz.weights import WeightCharacter
 
 L = make_field(5)
 N = 12
-CTX11 = QExpContext(L, splitting_type(L, 11, N))
-CTX7 = QExpContext(L, splitting_type(L, 7, N))
+CTX11 = QExpContext(L, PrimeSplitting(L, 11, N))
+CTX7 = QExpContext(L, PrimeSplitting(L, 7, N))
 R11 = CTX11.ring
 R7 = CTX7.ring
 
@@ -148,8 +148,8 @@ def test_build_split_primitives_verifies():
     assert p.h1.deplete((2,)).is_zero()
     assert p.h2.deplete((1,)).is_zero()
     # tau H's j = s term matches the leading H' term
-    hp = build_h_prime(E88_11, (8, 8), 1, 12)
-    lead_tau = p.tau_H.term(0)
+    hp = gz_sum(E88_11.deplete("all"), 8, 1, 12)
+    lead_tau = tau_image(p.h, p.ell[0], p.s, p.k).term(0)
     lead_hp = hp.term(0)
     # tau(h) leading term uses d^(ell1-2-s) h = d^(-1-s) g^[P] + V-part
     b = min(lead_tau.bound, lead_hp.bound)
@@ -187,8 +187,8 @@ def test_eigen_failure_detected():
 
 
 def test_split_primitives_s_range_guard():
-    # a negative s reaches the tau-sum after every check has passed; it
-    # must raise the named configuration error, not a bare ValueError
+    # a negative s must raise the named configuration error, not a bare
+    # ValueError
     g = hilbert_eisenstein(8, CTX11, 20)
     with pytest.raises(ConfigError):
         build_split_primitives(g, ROOTS_11, (8, 8), -1, 12)
@@ -293,7 +293,7 @@ def test_lp_linear_in_g():
 def test_gz_sum_term_count():
     # number of omega/eta terms is ell1 - s - 1
     for s in (0, 1):
-        noc = build_h_prime(E88_11, (8, 8), s, 14 - 2 * s)
+        noc = gz_sum(E88_11.deplete("all"), 8, s, 14 - 2 * s)
         assert len(noc.degrees()) == 8 - s - 1
 
 

@@ -13,12 +13,12 @@ from padicgz.formgen import (
 )
 from padicgz.padic import PadicRing, ppow
 from padicgz.qexp import EllipticQExp, HilbertQExp, QExpContext, agreement_valuation
-from padicgz.quadfield import SUPPORT_DINV, make_field, splitting_type
+from padicgz.quadfield import SUPPORT_DINV, PrimeSplitting, make_field
 from padicgz.weights import WeightCharacter
 
 L = make_field(5)
-CTX11 = QExpContext(L, splitting_type(L, 11, 8))   # split
-CTX7 = QExpContext(L, splitting_type(L, 7, 8))     # inert
+CTX11 = QExpContext(L, PrimeSplitting(L, 11, 8))   # split
+CTX7 = QExpContext(L, PrimeSplitting(L, 7, 8))     # inert
 
 
 def contexts():
@@ -50,7 +50,7 @@ def test_mul_commutative_associative():
 def test_d_embedding_value():
     # sigma_1(phi) = (1+4)/2 = 8 mod 11; the index of phi is its numerator
     # phi * sqrt(5) = phi + 2, the key (2, 1)
-    ctx = QExpContext(L, splitting_type(L, 11, 1))
+    ctx = QExpContext(L, PrimeSplitting(L, 11, 1))
     f = HilbertQExp(ctx, SUPPORT_DINV, 4, {(2, 1): ctx.ring.one})
     assert f.d(1).coeffs[(2, 1)] == ctx.ring.from_int(8)
     phi = CTX11.sp.sigma((2, 1), 1)
@@ -282,7 +282,7 @@ def test_prime_label_out_of_range(ctx):
 def test_deplete_at_a_large_split_prime():
     # membership costs O(1) per context and key, whatever the size of p
     p = 10**9 + 9  # 4 mod 5, so split in D = 5
-    sp = splitting_type(L, p, 2)
+    sp = PrimeSplitting(L, p, 2)
     assert sp.kind == "split"
     pi1, pi2 = sp.pi1, sp.pi2
     keys = [(0, 1), pi1, pi2, (p, 0), (0, 0)]

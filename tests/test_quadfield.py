@@ -7,10 +7,10 @@ import pytest
 from padicgz.errors import ConfigError, RamifiedPrime, UnsupportedField
 from padicgz.quadfield import (
     SUPPORT_DINV,
+    PrimeSplitting,
     factorize,
     ideal_divisors,
     make_field,
-    splitting_type,
     tot_pos_enum,
 )
 
@@ -28,7 +28,7 @@ def test_make_field():
 
 def test_splitting_types():
     L = make_field(5)
-    s11 = splitting_type(L, 11, 6)
+    s11 = PrimeSplitting(L, 11, 6)
     assert s11.kind == "split"
     # trace-minimal generators (7 +- sqrt(5))/2; the classical pair
     # 4 +- sqrt(5) generates the same primes (unit ratio phi^2)
@@ -40,16 +40,16 @@ def test_splitting_types():
     assert s11.embed(s11.pi2, 1).is_unit()
     assert s11.embed(s11.pi2, 2).valuation() == 1
 
-    s7 = splitting_type(L, 7, 6)
+    s7 = PrimeSplitting(L, 7, 6)
     assert s7.kind == "inert"
     with pytest.raises(RamifiedPrime):
-        splitting_type(L, 5, 6)
+        PrimeSplitting(L, 5, 6)
 
 
 def test_embeddings_norm_trace():
     L = make_field(5)
     for p in (11, 7):
-        sp = splitting_type(L, p, 8)
+        sp = PrimeSplitting(L, p, 8)
         ring = sp.ring
         rng = random.Random(10)
         for _ in range(25):
@@ -58,7 +58,8 @@ def test_embeddings_norm_trace():
             assert s1 * s2 == ring.from_int(L.norm(x)) if ring.degree == 1 else True
             if ring.degree == 2:
                 assert s1 * s2 == ring.make(L.norm(x))
-                assert s2 == s1.frobenius()
+                # sigma_2 = Frob o sigma_1: the X coordinate negated
+                assert s2 == ring.make(s1.a, -s1.b)
                 assert s1 + s2 == ring.make(L.trace(x))
             else:
                 assert s1 + s2 == ring.from_int(L.trace(x))
@@ -67,7 +68,7 @@ def test_embeddings_norm_trace():
 def test_embedding_phi_value():
     # sigma_1(phi) = (1+4)/2 = 8 mod 11
     L = make_field(5)
-    sp = splitting_type(L, 11, 1)
+    sp = PrimeSplitting(L, 11, 1)
     assert sp.embed((0, 1), 1).lift() == 8
     # the index key (2, 1) is (phi + 2)/sqrt(5) = phi
     assert sp.sigma((2, 1), 1).lift() == 8
@@ -126,8 +127,8 @@ def test_ideal_divisors():
 def test_ideal_divisors_multiplicative():
     L = make_field(5)
     # norms of divisors of (beta) for beta = 2 * (p1-generator): split 11 * inert 2
-    sp = splitting_type(L, 11, 4)
-    beta = L.mul_int(sp.pi1, 2)
+    sp = PrimeSplitting(L, 11, 4)
+    beta = L.mul(sp.pi1, (2, 0))
     divs = ideal_divisors(L, beta)
     norms = sorted(n for _, n in divs)
     assert norms == [1, 4, 11, 44]  # (2) inert of norm 4, p1 of norm 11

@@ -10,7 +10,6 @@ from padicgz.weights import (
     WeightPair,
     char_shift,
     classify_pair,
-    rho_lambda,
 )
 
 R = PadicRing(7, 6)
@@ -83,26 +82,4 @@ def test_component_and_shift():
     k2 = k.shift_component(0, 2)
     assert k2.classical == (10, 8)
     assert k.component(1).classical == (8,)
-    r = wchar(-2, 0)
-    assert r.minus_int(3).classical == (-5, -3)
 
-
-def test_rho_lambda():
-    # paper formula: rho = u_k(s1) + u_r(s1) + u_k(s2) + u_r(s2)
-    k = wchar(8, 8)
-    r = wchar(-2, 0)
-    rho, lam, degraded = rho_lambda(k, r, 5)
-    assert rho == R.from_int(14)
-    expect = 1
-    for i in range(6):
-        expect *= 14 - i
-    assert lam == R.from_int(expect)
-    assert degraded  # 14-7=7 contributes a factor 7
-    # an integer rho in {0..n} forces lambda = 0
-    k0 = wchar(1, 1)
-    r0 = wchar(1, 0)
-    rho, lam, degraded = rho_lambda(k0, r0, 5)  # rho = 3
-    assert lam.is_zero() and degraded
-    # n = 0: lambda = rho
-    rho, lam, _ = rho_lambda(k, r, 0)
-    assert lam == rho
