@@ -200,9 +200,6 @@ def test_ordinary_projector_two_routes():
     for i in range(4):
         for j in range(4):
             assert (P[i][j] - Q[i][j]).valuation() >= 10
-    # a = 1 needs the Delta block, whose separation is non-integral at p = 7
-    with pytest.raises(UnderDetermined):
-        projector_matrix(basis, 1)
 
 
 def test_newton_slope_balance():
@@ -228,3 +225,12 @@ def test_u_matrix_single_block():
     M = u_matrix(basis)
     assert M[0][0] == D.coeff(7)
 
+
+def test_slope_decomposition_type():
+    basis = demo_basis(R, B)
+    assert u_matrix(basis)[0][1] == R.one
+    assert len(basis.blocks) == 2
+    assert projector_matrix(basis, 0) is not None
+    # a = 1 needs the Delta block, whose separation is non-integral at p = 7
+    with pytest.raises(UnderDetermined):
+        projector_matrix(basis, 1)

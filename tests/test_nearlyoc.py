@@ -142,6 +142,10 @@ def test_from_omega_eta():
     # dlog raises weight by two
     gamma = from_omega_eta([(c, 9, 1, True)], k)
     assert gamma.term((1,)) == c.scale(ring.from_int(7))
+
+
+def test_omega_eta_round_trip():
+    ring = PadicRing(7, 6)
     # several entries land at their eta-degrees, the degree-2 one times p^2
     a, b = random_elliptic(16, ring, 8), random_elliptic(17, ring, 8)
     gamma = from_omega_eta([(a, 10, 0, False), (b, 8, 2, False)], echar(ring, 10))
