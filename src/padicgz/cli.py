@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 identity-check failure, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -65,14 +66,16 @@ def _ell(text: str):
     return ell
 
 
-def _add_ring_args(sp, hilbert=False):
+def _add_ring_args(sp):
     sp.add_argument("--p", type=int, required=True, help="working prime")
     sp.add_argument("--N", type=int, default=12, help="precision exponent")
     sp.add_argument("--B", type=int, default=40, help="trace bound")
-    if hilbert:
-        sp.add_argument("--D", type=int, default=5, help="real quadratic field")
+    sp.add_argument("--D", type=int, default=5, help="real quadratic field")
 
 
+# built once per process: no default is mutable, and parse_args returns a
+# fresh namespace per call
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="padicgz",
@@ -93,7 +96,7 @@ def _build_parser():
             "basis-demo",
         ],
     )
-    _add_ring_args(g, hilbert=True)
+    _add_ring_args(g)
     g.add_argument("--k", type=int, default=8, help="weight (Eisenstein recipes)")
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--ainvs", type=str, default="0,-1,1,-10,-20")
@@ -123,7 +126,7 @@ def _build_parser():
 
     lv = sub.add_parser("lvalue", help="balanced L-value specialization")
     lv.add_argument("--balanced", action="store_true", required=True)
-    _add_ring_args(lv, hilbert=True)
+    _add_ring_args(lv)
     lv.add_argument("--l", required=True)
     lv.add_argument("--s", type=int, required=True)
     lv.add_argument("--basis", default=None, help="basis file (default: demo basis)")
@@ -133,7 +136,7 @@ def _build_parser():
     kindgrp = aj.add_mutually_exclusive_group(required=True)
     kindgrp.add_argument("--split", action="store_true")
     kindgrp.add_argument("--inert", action="store_true")
-    _add_ring_args(aj, hilbert=True)
+    _add_ring_args(aj)
     aj.add_argument("--l", required=True)
     aj.add_argument("--s", type=int, required=True)
     aj.add_argument("--basis", default=None)
@@ -150,7 +153,7 @@ def _build_parser():
             "vanishing",
         ],
     )
-    _add_ring_args(v, hilbert=True)
+    _add_ring_args(v)
     v.add_argument("--l", default="8,8")
     v.add_argument("--s", type=int, default=1)
     v.add_argument("--out", default=None)

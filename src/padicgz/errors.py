@@ -54,8 +54,8 @@ class WeightMismatch(PadicgzError):
     """omega/eta exponents inconsistent with the declared weight."""
 
 
-class ZeroDenominator(PadicgzError):
-    """An overconvergent-projection denominator factor is exactly zero."""
+class ZeroDenominator(ConfigError):
+    """A projection denominator factor is exactly zero at the given weight."""
 
 
 class InsufficientValuation(PadicgzError):

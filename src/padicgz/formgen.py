@@ -9,6 +9,7 @@ exact including the constant term.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .errors import BadPrime, ConfigError, NotEigenform, SingularCurve
 from .padic import PadicNum, PadicRing
 from .qexp import EllipticQExp, HilbertQExp, QExpContext
-from .quadfield import SUPPORT_DINV, factorize, ideal_divisors, tot_pos_enum
+from .quadfield import SUPPORT_DINV, divisor_norms, factorize, tot_pos_enum
 
 
 def _bernoulli(k: int) -> Fraction:
@@ -151,6 +152,10 @@ def hilbert_eisenstein(k: int, ctx: QExpContext, B: int) -> HilbertQExp:
     """Parallel-weight Eisenstein stream a_beta = sum over ideal divisors
     of (beta)*different of N^(k-1); constant term 0.
 
+    The divisor norms are read from the field's table (`divisor_norms`):
+    each norm is raised once and each distinct tuple of norms summed once,
+    and keys with the same tuple share one (immutable) coefficient.
+
     For even k this is the q-expansion of the classical Eisenstein series
     with trivial character.  Odd k >= 2 is accepted and produces the same
     formal divisor-sum stream, which is still a T_0-eigen stream and
@@ -159,18 +164,11 @@ def hilbert_eisenstein(k: int, ctx: QExpContext, B: int) -> HilbertQExp:
     """
     if k < 2:
         raise ConfigError("hilbert Eisenstein needs k >= 2")
-    ring = ctx.ring
-    powers = {}  # norm -> norm^(k-1) mod p^N
-    coeffs = {}
-    for key in tot_pos_enum(ctx.field, SUPPORT_DINV, B):
-        if key == (0, 0):
-            continue
-        total = 0
-        for _, norm in ideal_divisors(ctx.field, key):
-            if norm not in powers:
-                powers[norm] = pow(norm, k - 1, ring.modulus)
-            total += powers[norm]
-        coeffs[key] = PadicNum(ring, total % ring.modulus)
+    ring, m = ctx.ring, ctx.ring.modulus
+    keys, ids, norms = divisor_norms(ctx.field, B)
+    power = functools.cache(lambda n: pow(n, k - 1, m))
+    sums = {i: PadicNum(ring, sum(map(power, norms[i])) % m) for i in set(ids)}
+    coeffs = {key: sums[i] for key, i in zip(keys, ids)}
     out = HilbertQExp(ctx, SUPPORT_DINV, B, coeffs, weight_tag=(k, k))
     _eisenstein_self_check(out, k)
     return out

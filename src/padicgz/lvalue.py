@@ -19,6 +19,7 @@ from .errors import (
     DecompositionFailed,
     InsufficientValuation,
     NotEigenform,
+    PrecisionExhausted,
 )
 from .nearlyoc import (
     NearlyOCExpansion,
@@ -546,7 +547,8 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):
 
     The sides share only the rows zeta*(d_1^(-s-1-j) g^[P]) of one ladder
     pass (`gz_sides`): the nabla^r scalars with their p^j, and the tau
-    coefficients with from_omega_eta's p^b, stay independent.
+    coefficients with from_omega_eta's p^b, stay independent.  Sides that
+    both vanish mod p^N compare nothing: PrecisionExhausted, not a PASS.
     """
     config = dict(config or {})
     _classify_or_die(tuple(ell), s, k)
@@ -560,6 +562,10 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):
             "nothing to compare"
         )
     lhs_noc, rhs_noc = gz_sides(gdep, ell, s, k)
+    if all(f.is_zero() for x in (lhs_noc, rhs_noc) for f in x.terms.values()):
+        raise PrecisionExhausted(
+            f"both sides vanish mod p^{ring.N}: no coefficient to compare"
+        )
     table = [
         {"v_degree": deg[0], "agreement": val}
         for deg, val in degree_agreements(lhs_noc, rhs_noc)

@@ -279,8 +279,8 @@ class OCProjection:
 
 
 def oc_project(gamma: NearlyOCExpansion, k: int = None) -> OCProjection:
-    """Overconvergent projection of an elliptic expansion of weight k
-    (default: its classical weight tag):
+    """Overconvergent projection of an elliptic expansion of weight k (its
+    classical weight tag when it has one, which a given k must equal):
 
         sum_i (-1)^i d^i(gamma_i) / ((k-2-i+1) ... (k-2)),
 
@@ -288,10 +288,13 @@ def oc_project(gamma: NearlyOCExpansion, k: int = None) -> OCProjection:
     """
     if gamma.flavor != ELLIPTIC:
         raise ConfigError("oc_project expects an elliptic expansion")
+    tag = gamma.weight.classical
     if k is None:
-        if gamma.weight.classical is None:
+        if tag is None:
             raise ConfigError("oc_project needs a classical integer weight")
-        k = gamma.weight.classical[0]
+        k = tag[0]
+    elif tag is not None and k != tag[0]:
+        raise ConfigError(f"weight {k} differs from the expansion's weight {tag[0]}")
     ring = gamma.ring
     p, N = ring.p, ring.N
     budget = PrecisionBudget(N)

@@ -13,6 +13,7 @@ integer arithmetic (sqrt(D) is irrational for every supported D).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -325,70 +326,60 @@ def tot_pos_enum(field: RealQuadraticField, support: str, B: int):
 
 
 _NORM_BUDGET = 2**63
-_DIVISOR_CACHE: dict = {}
+_NORM_TABLES: dict = {}  # D -> [bound, keys, ids, {norm tuple: id}]
 
 
-def _splitting_mod_q(field: RealQuadraticField, q: int):
-    """Return ('ram',), ('inert',) or ('split', s) with s = phi mod q_1."""
-    D = field.D
-    if D % q == 0:
-        return ("ram",)
-    if q == 2:
-        # D == 1 mod 8: split with phi == 0 / 1; D == 5 mod 8: inert
-        if D % 8 == 1:
-            return ("split", 0)
-        return ("inert",)
-    if pow(D % q, (q - 1) // 2, q) != 1:
-        return ("inert",)
-    r = _tonelli_shanks(D % q, q)
-    s = (1 + r) * pow(2, -1, q) % q
-    return ("split", s)
+def divisor_norms(field: RealQuadraticField, B: int):
+    """(keys, ids, norms): the nonzero keys of tot_pos_enum(field,
+    SUPPORT_DINV, B), and norms[ids[j]] the tuple of the divisor norms of
+    keys[j] (`ideal_divisors`), one entry per distinct tuple.  The table
+    lives per field for the process: it grows to the largest B asked,
+    factoring only its new keys, and a smaller B reads a prefix of it.
+    """
+    t = _NORM_TABLES.setdefault(field.D, [0, [], [], {}])
+    keys, ids, index = t[1:]
+    if not 0 <= B <= t[0]:  # tot_pos_enum rejects B < 0
+        for key in tot_pos_enum(field, SUPPORT_DINV, B)[len(keys) + 1:]:
+            ns = tuple(ideal_divisors(field, key))
+            ids.append(index.setdefault(ns, len(index)))
+            keys.append(key)
+        t[0] = B
+    n = bisect_right(keys, B, key=lambda k: k[1])  # keys are sorted by trace
+    return keys[:n], ids[:n], list(index)
 
 
 def ideal_divisors(field: RealQuadraticField, key):
-    """Integral ideal divisors of (beta) * different, with norms.
+    """The norms of the integral ideal divisors of (beta) * different,
+    ascending, one per divisor.
 
     beta must be a nonzero index key; (beta) * different is the ideal of
-    its numerator.  Returns a sorted list of (label, norm) pairs where
-    label is a tuple of (q, tag, exponent) entries identifying the divisor.
+    its numerator.
     """
     if key == (0, 0):
         raise ConfigError("ideal_divisors needs beta != 0")
-    cache_key = (field.D, key)
-    got = _DIVISOR_CACHE.get(cache_key)
-    if got is not None:
-        return got
     n = abs(field.norm(key))
     if n >= _NORM_BUDGET:
         raise FactorizationOverflow(f"norm {n} exceeds the 64-bit budget")
-    prime_data = []  # (q, tag, norm_of_prime, valuation)
+    norms = [1]
     for q, v in factorize(n):
-        prime_data.extend(_prime_vals(field, key, q, v))
-    divisors = [((), 1)]
-    for (q, tag, nq, v) in prime_data:
-        new = []
-        for label, norm in divisors:
-            for e in range(v + 1):
-                lab = label + ((q, tag, e),) if e else label
-                new.append((lab, norm * nq**e))
-        divisors = new
-    divisors.sort(key=lambda t: (t[1], t[0]))
-    if len(_DIVISOR_CACHE) > 500_000:
-        _DIVISOR_CACHE.clear()
-    _DIVISOR_CACHE[cache_key] = divisors
-    return divisors
+        for nq, e in _prime_vals(field, key, q, v):
+            norms = [m * nq**i for m in norms for i in range(e + 1)]
+    return sorted(norms)
 
 
 def _prime_vals(field: RealQuadraticField, num, q: int, vq: int):
-    """Valuations of (num) at the primes over q, given v_q(N(num)) = vq."""
-    kind = _splitting_mod_q(field, q)
-    if kind[0] == "ram":
-        return [(q, "ram", q, vq)]
-    if kind[0] == "inert":
+    """(norm, valuation) of (num) at each prime over q dividing it, given
+    v_q(N(num)) = vq."""
+    D = field.D
+    if D % q == 0:
+        return [(q, vq)]
+    # an odd q splits iff D is a square mod q, and 2 iff D == 1 mod 8
+    if not (pow(D % q, (q - 1) // 2, q) == 1 if q > 2 else D % 8 == 1):
         if vq % 2:
             raise ConfigError("odd inert valuation; norm bookkeeping broken")
-        return [(q, "inert", q * q, vq // 2)] if vq else []
-    s = kind[1]
+        return [(q * q, vq // 2)] if vq else []
+    # s = phi mod the first prime over q (phi == 0 mod one prime over 2)
+    s = (1 + _tonelli_shanks(D % q, q)) * pow(2, -1, q) % q if q > 2 else 0
     # common q-divisibility of the element gives equal valuation both sides
     common = 0
     x = num
@@ -403,9 +394,4 @@ def _prime_vals(field: RealQuadraticField, num, q: int, vq: int):
             side1 += rest
         else:
             side2 += rest
-    out = []
-    if side1:
-        out.append((q, "s1", q, side1))
-    if side2:
-        out.append((q, "s2", q, side2))
-    return out
+    return [(q, side) for side in (side1, side2) if side]

@@ -1,17 +1,29 @@
 """CLI dispatch, exit codes, and file plumbing."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from padicgz import lvalue, nearlyoc, qexp
 from padicgz.cli import main
 from padicgz.formgen import hilbert_eisenstein
 from padicgz.lvalue import verify_gz
-from padicgz.nearlyoc import nabla_pow
+from padicgz.nearlyoc import ELLIPTIC, NearlyOCExpansion, nabla_pow
 from padicgz.padic import PadicRing
-from padicgz.serialize import context_for, dump, noc_to_dict, read_json
+from padicgz.serialize import context_for, dump, noc_to_dict, read_json, write_json
 from padicgz.weights import WeightCharacter
+
+from helpers import random_elliptic
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def test_classify(capsys):
@@ -223,6 +235,43 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert "configuration" in captured.err and reason in captured.err
     assert "kind:" not in captured.out
+    assert not out.exists()
+
+
+def _elliptic_noc(path, k, top):
+    """Write an elliptic expansion of weight k at p = 7 with the V-degrees
+    0..top, the degree-j term divisible by 7^j."""
+    ring = PadicRing(7, 6)
+    c = random_elliptic(21, ring, 8)
+    terms = {(j,): c.scale(ring.from_int(7**j)) for j in range(top + 1)}
+    weight = WeightCharacter.from_classical(PadicRing(7, 6, 1), 6, (k,))
+    write_json(path, noc_to_dict(NearlyOCExpansion(ELLIPTIC, weight, terms)))
+
+
+@pytest.mark.parametrize("weight", [[], ["--weight", "2"]])
+def test_ocproj_zero_denominator_exit_code(tmp_path, capsys, weight):
+    # at weight 2 the degree-1 denominator k - 2 vanishes: a configuration
+    # error, not an identity failure, since nothing was compared
+    noc, out = tmp_path / "noc.json", tmp_path / "o.json"
+    _elliptic_noc(noc, 2, 1)
+    assert main(["apply", "ocproj", "--in", str(noc), "--out", str(out), *weight]) == 3
+    err = capsys.readouterr().err
+    assert "configuration" in err and "projection denominator" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["0", "-3", "14", "20"])
+def test_ocproj_weight_other_than_the_tag_exit_code(tmp_path, capsys, weight):
+    noc, out = tmp_path / "noc.json", tmp_path / "o.json"
+    _elliptic_noc(noc, 12, 2)
+    assert main(["apply", "ocproj", "--in", str(noc), "--out", str(out),
+                 "--weight", "12"]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main(["apply", "ocproj", "--in", str(noc), "--out", str(out),
+                 "--weight", weight]) == 3
+    err = capsys.readouterr().err
+    assert "configuration" in err and f"weight {weight} differs" in err
     assert not out.exists()
 
 
@@ -443,3 +492,85 @@ def test_analytic_nabla_golden_hashes(p):
     r = WeightCharacter(ring1, tor, (u, ring1.zero), (-2, 0))
     doc = dump(noc_to_dict(nabla_pow(g, k, r)))
     assert hashlib.sha256(doc.encode()).hexdigest() == NOC_SHA256[p]
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path):
+    # the parser and the divisor-norm table outlive a call: after another
+    # subcommand with other flags, a call writes the bytes it writes alone
+    runs = {
+        "aj": ["aj", "--split", "--D", "5", "--p", "11", "--l", "8,8", "--s", "1",
+               "--N", "10", "--B", "30"],
+        "verify": ["verify", "gz-inert", "--D", "5", "--p", "7", "--l", "6,6",
+                   "--s", "0", "--N", "12", "--B", "17"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / f"{name}-shared.json")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for name, argv in runs.items():
+        alone = tmp_path / f"{name}-alone.json"
+        subprocess.run([sys.executable, "-m", "padicgz.cli", *argv, "--out", str(alone)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert (tmp_path / f"{name}-shared.json").read_bytes() == alone.read_bytes()
+
+
+class _Comparisons:
+    """The coefficients each identity comparison covers: per call of
+    `degree_agreements` or `agreement_valuation` in `padicgz.lvalue`, the
+    number of (V-degree, index) pairs up to the compared bound at which
+    either side has a nonzero coefficient.  On the lvalue, aj and gz-*
+    routes only `verify_gz` calls them."""
+
+    def __init__(self):
+        self.counts = []
+
+    @staticmethod
+    def _count(forms, bound):
+        return len({n for f in forms for n in f.coeffs if n <= bound})
+
+    def degree_agreements(self, a, b):
+        count = 0
+        for deg in set(a.terms) | set(b.terms):
+            sides = [x.terms[deg] for x in (a, b) if deg in x.terms]
+            count += self._count(sides, min(f.bound for f in sides))
+        self.counts.append(count)
+        return nearlyoc.degree_agreements(a, b)
+
+    def agreement_valuation(self, f, g, bound):
+        self.counts.append(self._count((f, g), bound))
+        return qexp.agreement_valuation(f, g, bound)
+
+
+@st.composite
+def cli_integer_argv(draw):
+    """lvalue, aj or verify at p = 7 or 11 with N, B, w and 0 <= s <= w - 2."""
+    p = draw(st.sampled_from([7, 11]))
+    kind = "inert" if p == 7 else "split"
+    head = draw(st.sampled_from([["lvalue", "--balanced"], ["aj", f"--{kind}"],
+                                 ["verify", f"gz-{kind}"]]))
+    w = draw(st.integers(2, 12))
+    s = draw(st.integers(0, w - 2))
+    return head + ["--D", "5", "--p", str(p), "--l", f"{w},{w}", "--s", str(s),
+                   "--N", str(draw(st.integers(1, 14))),
+                   "--B", str(draw(st.integers(0, 45)))]
+
+
+# both sides vanish mod 7: this passed without comparing a nonzero coefficient
+@example(["verify", "gz-inert", "--D", "5", "--p", "7", "--l", "10,10", "--s", "3",
+          "--N", "1", "--B", "38"])
+@given(cli_integer_argv())
+def test_cli_integer_arguments(argv):
+    # every exit code is a documented one; exit 2 only reports a compared
+    # identity, and a PASS compared at least one coefficient
+    seen = _Comparisons()
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(lvalue, "degree_agreements", seen.degree_agreements), \
+            mock.patch.object(lvalue, "agreement_valuation", seen.agreement_valuation), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 2:
+        assert "FAIL gz-" in text and seen.counts, err.getvalue()
+    if "PASS" in text:
+        assert seen.counts and min(seen.counts) > 0

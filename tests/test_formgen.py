@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicgz.errors import BadPrime, ConfigError, NotEigenform, SingularCurve
 from padicgz.formgen import (
@@ -14,9 +15,13 @@ from padicgz.formgen import (
     pointcount_newform,
     random_depleted,
 )
+from padicgz import quadfield
 from padicgz.padic import PadicRing
 from padicgz.qexp import HilbertQExp, QExpContext
 from padicgz.quadfield import SUPPORT_DINV, PrimeSplitting, make_field, tot_pos_enum
+from padicgz.serialize import context_for
+
+from helpers import eisenstein_by_key
 
 R = PadicRing(7, 12)
 L = make_field(5)
@@ -85,6 +90,42 @@ def test_hilbert_eisenstein_values():
     # a at phi/sqrt5: unit ideal only
     assert E2.coeff((0, 1)) == CTX11.ring.one
     assert E2.zeta_star().coeff(1) == CTX11.ring.from_int(2)
+
+
+@given(st.data())
+def test_hilbert_eisenstein_matches_the_per_key_oracle(data):
+    # the field's divisor-norm table lives for the process, so across the
+    # examples it grows in steps; within one, the bounds are asked in growing
+    # and then shrinking order, and a smaller bound reads a prefix
+    D = data.draw(st.sampled_from(sorted(quadfield._NARROW_ONE_TABLE)), label="D")
+    p = data.draw(st.sampled_from([q for q in (3, 5, 7, 11, 13) if D % q]), label="p")
+    k = data.draw(st.integers(2, 14), label="k")
+    bounds = sorted(data.draw(st.lists(st.integers(0, 45), min_size=1, max_size=3)))
+    ctx = context_for(D, p, data.draw(st.integers(1, 12), label="N"))
+    want = eisenstein_by_key(k, ctx, bounds[-1])
+    for B in bounds + bounds[::-1]:
+        got = hilbert_eisenstein(k, ctx, B)
+        assert (got.bound, got.weight_tag) == (B, (k, k))
+        assert got.coeffs == {key: c for key, c in want.coeffs.items() if key[1] <= B}
+
+
+def test_warm_eisenstein_build_factors_nothing(monkeypatch):
+    calls = []
+    factor = quadfield.ideal_divisors
+    monkeypatch.setattr(quadfield, "_NORM_TABLES", {})
+    monkeypatch.setattr(
+        quadfield, "ideal_divisors", lambda L, key: calls.append(key) or factor(L, key)
+    )
+    hilbert_eisenstein(8, CTX7, 40)
+    assert len(calls) == len(tot_pos_enum(L, SUPPORT_DINV, 40)) - 1
+    calls.clear()
+    for ctx in (CTX7, CTX11):
+        for B in (40, 21, 0):
+            hilbert_eisenstein(8, ctx, B)
+            hilbert_eisenstein(5, ctx, B)
+    assert calls == []
+    hilbert_eisenstein(8, CTX11, 41)
+    assert calls and {key[1] for key in calls} == {41}
 
 
 def test_eisenstein_roots():

@@ -2,7 +2,12 @@
 
 import pytest
 
-from padicgz.errors import InsufficientValuation, WeightMismatch, ZeroDenominator
+from padicgz.errors import (
+    ConfigError,
+    InsufficientValuation,
+    WeightMismatch,
+    ZeroDenominator,
+)
 from padicgz.formgen import random_depleted, random_form
 from padicgz.nearlyoc import (
     ELLIPTIC,
@@ -196,6 +201,27 @@ def test_oc_project_weight_two_rejected():
     )
     with pytest.raises(ZeroDenominator):
         oc_project(gamma)
+
+
+def test_oc_project_weight_must_match_the_tag():
+    # a classical weight tag fixes k; only an analytic weight takes k from the
+    # caller
+    ring = PadicRing(7, 6)
+    c = random_elliptic(23, ring, 8)
+    gamma = from_omega_eta([(c, 10, 2, False)], echar(ring, 12))
+    assert oc_project(gamma, 12).form == oc_project(gamma).form
+    for k in (0, -3, 10, 14):
+        with pytest.raises(ConfigError, match=f"weight {k} differs"):
+            oc_project(gamma, k)
+    tag = gamma.weight
+    analytic = NearlyOCExpansion(
+        ELLIPTIC, WeightCharacter(tag.ring1, tag.torsion_order, tag.u, tag.chi),
+        gamma.terms,
+    )
+    with pytest.raises(ConfigError, match="classical integer weight"):
+        oc_project(analytic)
+    assert oc_project(analytic, 12).form.coeffs == oc_project(gamma).form.coeffs
+    assert oc_project(analytic, 14).form.coeffs != oc_project(gamma).form.coeffs
 
 
 def test_hdagger_kills_nabla_images():
