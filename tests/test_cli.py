@@ -506,7 +506,7 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path):
     for name, argv in runs.items():
         assert main(argv + ["--out", str(tmp_path / f"{name}-shared.json")]) == 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     for name, argv in runs.items():
         alone = tmp_path / f"{name}-alone.json"
         subprocess.run([sys.executable, "-m", "padicgz.cli", *argv, "--out", str(alone)],
