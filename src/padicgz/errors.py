@@ -46,7 +46,7 @@ class IndexMismatch(PadicgzError):
     """q-expansion operands live on different index sets."""
 
 
-class NonUnitIndex(PadicgzError):
+class NonUnitIndex(ConfigError):
     """d-power with non-unit embedded index: the input is not depleted."""
 
 

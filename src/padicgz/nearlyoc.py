@@ -16,15 +16,16 @@ Hilbert terms) share one scalar loop, `nabla_scalars`, and one d_ladder pass.
 
 from __future__ import annotations
 
+import math
+
 from .errors import (
     ConfigError,
     InsufficientValuation,
-    NonUnitInverse,
     WeightMismatch,
     ZeroDenominator,
 )
-from .padic import PrecisionBudget, pbinom
-from .qexp import EllipticQExp, HilbertQExp, agreement_valuation
+from .padic import PadicNum, PrecisionBudget, pbinom
+from .qexp import EllipticQExp, HilbertQExp, agreement_valuation, least_valuation
 from .weights import WeightCharacter, char_shift
 
 HILBERT = "hilbert"
@@ -89,9 +90,12 @@ class NearlyOCExpansion:
         )
 
     def assert_divisibility(self):
-        """Every V-degree-j coefficient must have valuation >= |j|."""
+        """Every V-degree-j coefficient must have valuation >= |j|: one gcd
+        per term, the keys walked only to name the first failure."""
         for d, c in self.terms.items():
             need = sum(d)
+            if need <= 0 or least_valuation(c) >= need:
+                continue
             for key, v in c.coeffs.items():
                 if v.valuation() < need:
                     raise InsufficientValuation(
@@ -254,13 +258,6 @@ def from_omega_eta(entries, weight: WeightCharacter):
     return res
 
 
-def _scale_down(f, j: int):
-    if j == 0:
-        return f
-    out = {key: v.divide_exact_ppow(j) for key, v in f.coeffs.items()}
-    return f._like(out)
-
-
 class OCProjection:
     """Result of an overconvergent projection.
 
@@ -296,55 +293,51 @@ def oc_project(gamma: NearlyOCExpansion, k: int = None) -> OCProjection:
     elif tag is not None and k != tag[0]:
         raise ConfigError(f"weight {k} differs from the expansion's weight {tag[0]}")
     ring = gamma.ring
-    p, N = ring.p, ring.N
-    budget = PrecisionBudget(N)
+    p, m = ring.p, ring.modulus
+    budget = PrecisionBudget(ring.N)
 
     # denominator data per degree
     degrees = [d[0] for d in gamma.degrees()]
     denoms = {}
     for i in degrees:
-        den = 1
-        for m in range(1, i + 1):
-            factor = k - 2 - i + m
-            if factor == 0:
-                raise ZeroDenominator(
-                    f"projection denominator factor k-2-{i}+{m} = 0 at weight {k}"
-                )
-            den *= factor
-        v = 0
-        d0 = abs(den)
-        while d0 % p == 0:
-            d0 //= p
+        j = i + 2 - k  # the denominator's factors are k - 2 - i + j, 1 <= j <= i
+        if 1 <= j <= i:
+            raise ZeroDenominator(
+                f"projection denominator factor k-2-{i}+{j} = 0 at weight {k}"
+            )
+        den, v = math.prod(range(k - 1 - i, k - 1)), 0
+        while den % p ** (v + 1) == 0:
             v += 1
         denoms[i] = (den, v)
 
-    worst = max((i + denoms[i][1] for i in degrees), default=0)
-    if worst:
-        i_star = max(degrees, key=lambda i: i + denoms[i][1])
-        if i_star:
-            budget.charge(f"V^{i_star} coefficient extraction", i_star)
-        if denoms[i_star][1]:
-            budget.charge(
-                f"projection denominator at degree {i_star}", denoms[i_star][1]
-            )
-    shift = max((denoms[i][1] for i in degrees), default=0)
+    # the worst degree's extraction and denominator losses; 0 charges nothing
+    i_star = max(degrees, key=lambda i: i + denoms[i][1])
+    budget.charge(f"V^{i_star} coefficient extraction", i_star)
+    budget.charge(f"projection denominator at degree {i_star}", denoms[i_star][1])
+    shift = max(denoms[i][1] for i in degrees)
 
-    acc = None
+    # one integer pass: (c_i(n) / p^i) * n^i * u_i summed per n, with the
+    # unit u_i = (-1)^i (den_i / p^v_i)^(-1) p^(shift - v_i)
+    bound = min(gamma.terms[(i,)].bound for i in degrees)
+    acc_a, acc_b = {}, {}
     for i in degrees:
         c = gamma.terms[(i,)]
-        try:
-            stripped = _scale_down(c, i)
-        except NonUnitInverse as e:
-            raise InsufficientValuation(str(e)) from None
-        num = stripped
-        for _ in range(i):
-            num = num.d()
+        if c.ring != ring:
+            raise ConfigError("mixed p-adic rings in arithmetic")
+        pi = p**i
+        if i and least_valuation(c) < i:
+            for x in c.coeffs.values():
+                if x.a % pi or x.b % pi:
+                    raise InsufficientValuation(f"{x!r} is not divisible by p^{i}")
         den, v = denoms[i]
-        unit = ring.from_int((-1) ** i * (den // p**v)).inv()
-        term = num.scale(unit * ring.from_int(p ** (shift - v)))
-        acc = term if acc is None else acc + term
-    out = EllipticQExp(ring, acc.bound, acc.coeffs, weight_tag=k)
-    return OCProjection(out, budget, shift)
+        u = pow((-1) ** i * (den // p**v), -1, m) * p ** (shift - v) % m
+        for n, x in c.coeffs.items():
+            if n <= bound:
+                t = n**i * u % m
+                acc_a[n] = acc_a.get(n, 0) + x.a // pi * t
+                acc_b[n] = acc_b.get(n, 0) + x.b // pi * t
+    coeffs = {n: PadicNum(ring, a % m, acc_b[n] % m) for n, a in acc_a.items()}
+    return OCProjection(EllipticQExp(ring, bound, coeffs, weight_tag=k), budget, shift)
 
 
 def degree_agreements(a: NearlyOCExpansion, b: NearlyOCExpansion) -> list:
@@ -354,12 +347,8 @@ def degree_agreements(a: NearlyOCExpansion, b: NearlyOCExpansion) -> list:
     out = []
     for deg in sorted(set(a.degrees()) | set(b.degrees())):
         ca, cb = a.terms.get(deg), b.terms.get(deg)
-        if ca is None or cb is None:
-            only = ca or cb
-            vals = (v.valuation() for v in only.coeffs.values())
-            val = min(vals, default=only.ring.N)
-        else:
-            val = agreement_valuation(ca, cb, min(ca.bound, cb.bound))
+        one_sided = ca is None or cb is None
+        val = least_valuation(ca or cb) if one_sided else agreement_valuation(ca, cb)
         out.append((deg, val))
     return out
 

@@ -12,7 +12,9 @@ truncation is correct to the full working precision.  p-adic powers
 (`ppow`) are one modular power to the integer exponent `char_exponent`
 and use neither series.  Integer powers run on int pairs (`pair_pow`)
 and build one element at the end; `batch_inverse` inverts many ints
-with one modular inverse.
+with one modular inverse.  Every valuation is one builtin gcd with p^N
+(`PadicRing.valuation_of`): gcd(p^N, x_1, ..., x_n) = p^min(v(x_i), N),
+read back in a table of the powers p^k, k <= N.
 `teichmuller`, `plog` and `pexp` stay as the series definition that the
 tests check `ppow` against.
 """
@@ -78,6 +80,7 @@ class PadicRing:
         self.N = N
         self.degree = degree
         self.modulus = p**N
+        self._vals = {p**k: k for k in range(N + 1)}
         if degree == 2:
             c = smallest_nonresidue(p)
             # Teichmueller-adjust so that X = sqrt(c) satisfies X^(p^2-1) = 1.
@@ -89,13 +92,18 @@ class PadicRing:
         return f"PadicRing(p={self.p}, N={self.N}, f={self.degree})"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PadicRing)
             and (self.p, self.N, self.degree) == (other.p, other.N, other.degree)
         )
 
     def __hash__(self):
         return hash((self.p, self.N, self.degree))
+
+    def valuation_of(self, *xs: int) -> int:
+        """The least valuation of the ints xs, capped at N (N when every
+        one is 0), from one gcd with p^N."""
+        return self._vals[math.gcd(self.modulus, *xs)]
 
     # -- construction ------------------------------------------------
 
@@ -170,17 +178,7 @@ class PadicNum:
 
     def valuation(self) -> int:
         """min coordinate valuation, capped at N (N is the zero sentinel)."""
-        if self.is_zero():
-            return self.ring.N
-        v = self.ring.N
-        for c in (self.a, self.b):
-            if c:
-                w = 0
-                while c % self.ring.p == 0 and w < v:
-                    c //= self.ring.p
-                    w += 1
-                v = min(v, w)
-        return v
+        return self.ring.valuation_of(self.a, self.b)
 
     def is_unit(self) -> bool:
         return self.a % self.ring.p != 0 or self.b % self.ring.p != 0
@@ -320,15 +318,13 @@ def teichmuller(x: PadicNum) -> PadicNum:
 def _int_div_exact(x: PadicNum, n: int) -> PadicNum:
     """x / n for a positive integer n, exact on the p-part of n.
 
-    Requires v_p(x) >= v_p(n); the result is correct mod p^(N - v_p(n)).
-    Used only inside guarded series evaluation.
+    Requires v_p(x) >= v_p(n) and v_p(n) < N; the guard digits of the
+    series evaluation, its only caller, ensure both.  The result is correct
+    mod p^(N - v_p(n)).
     """
-    p = x.ring.p
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    y = x * x.ring.from_int(pow(n, -1, x.ring.modulus))
+    ring = x.ring
+    v = ring.valuation_of(n)
+    y = x * ring.from_int(pow(n // ring.p**v, -1, ring.modulus))
     return y.divide_exact_ppow(v)
 
 

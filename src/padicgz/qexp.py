@@ -73,7 +73,7 @@ class HilbertQExp:
         check_support(support)
         self.ctx = ctx
         self.bound = bound
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if not v.is_zero()}
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v.a or v.b}
         self.weight_tag = weight_tag
 
     # -- plumbing -------------------------------------------------------
@@ -326,7 +326,7 @@ class EllipticQExp:
     def __init__(self, ring, bound, coeffs=None, weight_tag=None):
         self.ring = ring
         self.bound = bound
-        self.coeffs = {n: v for n, v in (coeffs or {}).items() if not v.is_zero()}
+        self.coeffs = {n: v for n, v in (coeffs or {}).items() if v.a or v.b}
         self.weight_tag = weight_tag
 
     def _like(self, coeffs, bound=None, weight_tag=None):
@@ -495,12 +495,24 @@ def _power_exponent(exponent, ring):
     return exponent, False
 
 
+def least_valuation(f) -> int:
+    """The least valuation of f's coefficients, N when f is zero: one gcd."""
+    vals = f.coeffs.values()
+    return f.ring.valuation_of(*[v.a for v in vals], *[v.b for v in vals])
+
+
 def agreement_valuation(f, g, bound=None) -> int:
     """Minimal p-adic valuation of (f - g) over indices up to the common
     bound; returns the working precision N when the truncations agree
-    exactly (N is the 'exact at working precision' sentinel)."""
-    diff = f - g
-    if bound is not None:
-        diff = diff.truncated(min(bound, diff.bound))
-    vals = [v.valuation() for v in diff.coeffs.values()]
-    return min(vals) if vals else diff.ring.N
+    exactly (N is the 'exact at working precision' sentinel).  One gcd over
+    the coordinate differences; f - g is never built."""
+    f._compat(g)
+    b = min(f.bound, g.bound) if bound is None else min(bound, f.bound, g.bound)
+    hilbert = isinstance(f, HilbertQExp)
+    fc, gc = f.coeffs, g.coeffs
+    zero, diffs = f.ring.zero, []
+    for k in fc.keys() | gc.keys():
+        if (k[1] if hilbert else k) <= b:
+            x, y = fc.get(k, zero), gc.get(k, zero)
+            diffs += (x.a - y.a, x.b - y.b)
+    return f.ring.valuation_of(*diffs)

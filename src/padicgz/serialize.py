@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import SchemaError
+from .errors import InsufficientValuation, SchemaError
 from .heckeslope import ClassicalBasis, EigenBlock
 from .nearlyoc import NearlyOCExpansion
 from .padic import PadicNum, PadicRing
@@ -244,7 +244,10 @@ def noc_from_dict(doc: dict) -> NearlyOCExpansion:
         _int_list(_require(wdoc, "chi", at), at + ".chi"),
         tuple(_int_list(classical, at + ".classical")) if classical else None,
     )
-    return NearlyOCExpansion(flavor, wt, terms)
+    try:
+        return NearlyOCExpansion(flavor, wt, terms).assert_divisibility()
+    except InsufficientValuation as e:
+        raise SchemaError(f"{where}.terms: {e}") from None
 
 
 def basis_to_dict(basis: ClassicalBasis) -> dict:

@@ -275,6 +275,48 @@ def test_ocproj_weight_other_than_the_tag_exit_code(tmp_path, capsys, weight):
     assert not out.exists()
 
 
+def test_ocproj_undivisible_input_exit_code(tmp_path, capsys):
+    # a V^1 coefficient that is not divisible by p is a malformed noc file,
+    # rejected when read: no identity was compared
+    g = hilbert_eisenstein(8, context_for(5, 7, 6), 10).deplete()
+    k = WeightCharacter.from_classical(PadicRing(7, 6, 1), 48, (8, 8))
+    r = WeightCharacter.from_classical(PadicRing(7, 6, 1), 48, (1, 0))
+    doc = noc_to_dict(nearlyoc.zeta_star_noc(nabla_pow(g, k, r)))
+    noc, out = tmp_path / "noc.json", tmp_path / "o.json"
+    write_json(noc, doc)
+    assert main(["apply", "ocproj", "--in", str(noc), "--out", str(out)]) == 0
+    out.unlink()
+    term = next(t for t in doc["terms"] if t["degree"] == [1])
+    entry = term["form"]["coeffs"][0]
+    assert entry["value"][0].startswith("0,")
+    entry["value"][0] = "1" + entry["value"][0][1:]
+    write_json(noc, doc)
+    capsys.readouterr()
+    assert main(["apply", "ocproj", "--in", str(noc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration" in err and "noc.terms" in err
+    assert f"V-degree (1,) coefficient at {entry['n']}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("recipe,args,reason", [
+    ("hilbert-eisenstein", ["dpow", "--exponent", "-1"], "d^(-1) at index (-7, 7)"),
+    ("hilbert-eisenstein", ["nabla", "--r", "-2"], "not a unit"),
+    ("eisenstein", ["dpow", "--exponent", "-1"], "d^(-1) at non-unit index 0"),
+])
+def test_apply_non_unit_index_exit_code(tmp_path, capsys, recipe, args, reason):
+    # a negative d-power of an input that is not depleted: a configuration
+    # error, not an identity failure
+    g, out = tmp_path / "g.json", tmp_path / "o.json"
+    assert main(["gen", recipe, "--D", "5", "--p", "7", "--N", "6", "--B", "10",
+                 "--k", "8", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert main(["apply", *args, "--in", str(g), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration" in err and reason in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,p", [(c, p) for c in ("lvalue", "aj") for p in (7, 11)])
 def test_bound_grid_exit_codes(capsys, command, p):
     # exit 2 only when an identity was compared: a --B below the demo
