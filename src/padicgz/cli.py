@@ -73,11 +73,16 @@ def _add_ring_args(sp):
     sp.add_argument("--D", type=int, default=5, help="real quadratic field")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 3 naming the flag; 2 is an identity failure
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 # built once per process: no default is mutable, and parse_args returns a
 # fresh namespace per call
 @functools.cache
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="padicgz",
         description="exact p-adic q-expansion calculus over real quadratic fields",
     )

@@ -10,13 +10,14 @@ All operations are exact modulo p^N.  The log and exp series (`plog`,
 `pexp`) are evaluated with internal guard digits so the returned
 truncation is correct to the full working precision.  p-adic powers
 (`ppow`) are one modular power to the integer exponent `char_exponent`
-and use neither series.  Integer powers run on int pairs (`pair_pow`)
-and build one element at the end; `batch_inverse` inverts many ints
-with one modular inverse.  Every valuation is one builtin gcd with p^N
-(`PadicRing.valuation_of`): gcd(p^N, x_1, ..., x_n) = p^min(v(x_i), N),
-read back in a table of the powers p^k, k <= N.
-`teichmuller`, `plog` and `pexp` stay as the series definition that the
-tests check `ppow` against.
+and use neither series.  Integer powers run on int pairs (`pair_pow`, the
+small-exponent path and the oracle of `series_power`, the 1-unit binomial
+series for large powers of degree-2 units) and build one element at the
+end; `batch_inverse` inverts many ints with one modular inverse.  Every
+valuation is one builtin gcd with p^N (`PadicRing.valuation_of`):
+gcd(p^N, x_1, ..., x_n) = p^min(v(x_i), N), read back in a table of the
+powers p^k, k <= N.  `teichmuller`, `plog` and `pexp` stay as the
+series definition that the tests check `ppow` against.
 """
 
 from __future__ import annotations
@@ -281,6 +282,45 @@ def pair_pow(ring: PadicRing, a: int, b: int, e: int, ca: int = 1, cb: int = 0):
         if not e:
             return ca, cb
         a, b = (a * a + b * b % m * c) % m, 2 * a * b % m
+
+
+def series_pays(ring: PadicRing, e: int) -> bool:
+    """Whether series_power(ring, e) needs fewer pair products than pair_pow
+    at e >= 0 on the degree-2 ring: with o = p^2 - 1 and e = r + o q, the
+    squares and multiplies of o's chain, a multiply per set bit of r, a
+    Horner step per binomial but the first and one product to join them."""
+    o = ring.residue_order()
+    q, r = divmod(e, o)
+    series = o.bit_length() + o.bit_count() + r.bit_count() + min(q, ring.N - 1)
+    return ring.degree == 2 and series < e.bit_length() - 1 + e.bit_count()
+
+
+def series_power(ring: PadicRing, e: int):
+    """The map (a, b, ca, cb) -> pair_pow(ring, a, b, e, ca, cb) on units
+    a + b*X of the degree-2 ring, e >= 0.  With o = p^2 - 1, e = r + o q and
+    w = x^o - 1 = 0 mod p on a unit, x^e = x^r sum_{j < N} binom(q, j) w^j
+    exactly mod p^N: x^r and x^o off one chain of squares, then Horner."""
+    m, c, o = ring.modulus, ring.nonresidue, ring.residue_order()
+    q, r = divmod(e, o)
+    top, *rest = [math.comb(q, j) % m for j in range(min(q, ring.N - 1), -1, -1)]
+
+    def power(a, b, ca=1, cb=0):
+        wa, wb, k, s = 1, 0, o, r
+        while True:
+            if s & 1:
+                ca, cb = (ca * a + cb * b % m * c) % m, (ca * b + cb * a) % m
+            if k & 1:
+                wa, wb = (wa * a + wb * b % m * c) % m, (wa * b + wb * a) % m
+            k, s = k >> 1, s >> 1
+            if not k:
+                break
+            a, b = (a * a + b * b % m * c) % m, 2 * a * b % m
+        wa, ha, hb = wa - 1, top, 0
+        for cj in rest:
+            ha, hb = (ha * wa + hb * wb % m * c + cj) % m, (ha * wb + hb * wa) % m
+        return (ca * ha + cb * hb % m * c) % m, (ca * hb + cb * ha) % m
+
+    return power
 
 
 def batch_inverse(values, m: int) -> list:

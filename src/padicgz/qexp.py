@@ -5,7 +5,8 @@ operators at p, and diagonal restriction.
 Powers of d_i run on one ladder (`HilbertQExp.d_ladder`): the terms
 c_j * d_i^(e - j) for consecutive j, for one or several scalar lists c,
 come from one power per coefficient at the exponent in use nearest zero
-and one plain-int (degree 1) or int-pair (degree 2) multiply per step, up
+(`pair_pow`, or `series_power` where that takes fewer products) and one
+plain-int (degree 1) or int-pair (degree 2) multiply per step, up
 by sigma_i(beta) and down by its inverse, summed unreduced, optionally
 onto the diagonal, each term reduced mod p^N as it is read; `d_char` is
 its one-term case.  sigma_i(beta) and its inverse come as ints from the
@@ -29,7 +30,7 @@ operators grow it.
 from __future__ import annotations
 
 from .errors import ConfigError, ConvergenceDomain, IndexMismatch, NonUnitIndex
-from .padic import PadicNum, char_exponent, pair_pow
+from .padic import PadicNum, char_exponent, pair_pow, series_pays, series_power
 from .quadfield import SUPPORT_DINV, check_support
 from .weights import WeightCharacter
 
@@ -168,7 +169,9 @@ class HilbertQExp:
         of self (None where c[j] is None), all read off one pass.
 
         exponent is as in d_char.  Each coefficient takes one power at the
-        exponent in use nearest zero, then one multiply per step: by
+        exponent in use nearest zero (in degree 2 on a units-only ladder, a
+        character's or a negative one, by `series_power` where
+        `series_pays`, else by `pair_pow`), then one multiply per step: by
         sigma_i(beta) up and by its inverse down, both read as ints from the
         splitting's per-index entries (`PrimeSplitting.entries`), which a
         None inverse marks as no unit.  Steps are summed unreduced; a term
@@ -197,6 +200,8 @@ class HilbertQExp:
         start = min(max(0, e - low), e - top)
         at0, width = 2 * (start - (e - low)), 2 * (low - top + 1)
         units_only = character or negative is not None
+        s = abs(start)
+        power = series_power(ring, s) if units_only and series_pays(ring, s) else None
         rows = {}
         for k, v, (sa, sb, ia, ib) in zip(keys, self.coeffs.values(), entries):
             if units_only and ia is None:
@@ -209,7 +214,7 @@ class HilbertQExp:
             if row is None:
                 row = rows[where] = [0] * width
             if ring.degree == 1:  # plain ints in the a slots; the b slots stay 0
-                x = w = v.a * pow(sa if start >= 0 else ia, abs(start), m) % m
+                x = w = v.a * pow(sa if start >= 0 else ia, s, m) % m
                 row[at0] += w
                 for at in range(at0 + 2, width, 2):
                     x *= sa
@@ -219,7 +224,10 @@ class HilbertQExp:
                     row[at] += w
                 continue
             base = (ia, ib) if start < 0 else (sa, sb)
-            wa, wb = pair_pow(ring, *base, abs(start), v.a, v.b)
+            if power:
+                wa, wb = power(*base, v.a, v.b)
+            else:
+                wa, wb = pair_pow(ring, *base, s, v.a, v.b)
             row[at0] += wa
             row[at0 + 1] += wb
             sbc, xa, xb = sb * c % m, wa, wb

@@ -208,6 +208,38 @@ def test_malformed_integer_list_exit_code(capsys, case):
     assert "configuration" in captured.err and reason in captured.err
 
 
+LVALUE7 = ["lvalue", "--balanced", "--D", "5", "--l", "8,8"]
+PARSE_ERRORS = {
+    "non-integer --N": ([*LVALUE7, "--p", "7", "--s", "1", "--N", "x"], "--N"),
+    "non-integer --p": ([*LVALUE7, "--p", "x", "--s", "1"], "--p"),
+    "non-integer --s": ([*LVALUE7, "--p", "7", "--s", "x"], "--s"),
+    "--N without a value": ([*LVALUE7, "--p", "7", "--s", "1", "--N"], "--N"),
+    "missing --p": ([*LVALUE7, "--s", "1"], "--p"),
+    "unknown flag": ([*LVALUE7, "--p", "7", "--s", "1", "--q", "3"], "--q"),
+    "non-integer gen --k": (["gen", "eisenstein", "--p", "7", "--k", "x", "--out",
+                             "e.json"], "--k"),
+    "unknown command": (["frobnicate"], "frobnicate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_exit_code(capsys, case):
+    # a malformed or missing argument is a configuration error naming the
+    # flag, not argparse's exit 2, which the CLI keeps for identity failures
+    argv, flag = PARSE_ERRORS[case]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "configuration" in err and flag in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lvalue", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 OUT = ["--out", "{out}"]
 BAD_INPUTS = {
     "ocproj non-integer weight": (

@@ -5,19 +5,23 @@ pair_pow for integer exponents and ppow for character exponents; it never
 goes through d_char or the ladder.  The ladder reads sigma_i(beta) and its
 inverse from the splitting's per-index entries, so the same calls are also
 checked on a splitting with no entries against one that already holds some,
-and depletion is checked against the units of sigma_i.
+and depletion is checked against the units of sigma_i.  nabla_pow with an
+analytic exponent at inert p is also checked against itself at N + 2, and
+its bytes on the analytic-nabla benchmark's p = 7 input are pinned.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, strategies as st
 
 from padicgz.errors import ConfigError, NonUnitIndex
-from padicgz.formgen import random_depleted, random_form
+from padicgz.formgen import hilbert_eisenstein, random_depleted, random_form
 from padicgz.nearlyoc import nabla_pow, zeta_star_nabla_pow, zeta_star_noc
 from padicgz.padic import PadicNum, PadicRing, pair_pow, ppow
 from padicgz.qexp import HilbertQExp, QExpContext
 from padicgz.quadfield import SUPPORT_DINV, PrimeSplitting, tot_pos_enum
-from padicgz.serialize import context_for, noc_to_dict
+from padicgz.serialize import context_for, dump, noc_to_dict
 from padicgz.weights import WeightCharacter
 
 # (D, kind) per prime, with p unramified in Q(sqrt D): each prime both ways
@@ -35,7 +39,9 @@ N = 6
 def ladder_cases(draw):
     p = draw(st.sampled_from(sorted(FIELDS)))
     D, kind = draw(st.sampled_from(FIELDS[p]))
-    ctx = context_for(D, p, N)
+    # at N = 1 and 2 a character's start power at inert p mostly takes
+    # square-and-multiply, at N = 6 and 12 mostly the 1-unit series
+    ctx = context_for(D, p, draw(st.sampled_from((1, 2, 6, 12))))
     assert ctx.sp.kind == kind
     ring = ctx.ring
     coord = st.integers(0, ring.modulus - 1)
@@ -167,6 +173,75 @@ def test_restricted_nabla_pow_matches(p, seed, w, r, m):
         rc = WeightCharacter(ring1, tor, (u, ring1.zero), (r, 0))
     want = noc_to_dict(zeta_star_noc(nabla_pow(g, k, rc)))
     assert noc_to_dict(zeta_star_nabla_pow(g, k, rc)) == want
+
+
+@pytest.mark.parametrize("p", sorted(FIELDS))
+def test_large_integer_power_on_input_not_depleted(p):
+    # a large non-negative integer power takes square-and-multiply, which is
+    # exact on non-unit indices too; the 1-unit series would not be
+    ctx = context_for(FIELDS[p][1][0], p, 12)
+    f = random_form(p, ctx, 6)
+    for e in (10**6 + 7, 3 * 10**9):
+        for i in (1, 2):
+            want = {}
+            for key, v in f.coeffs.items():
+                s = ctx.sp.sigma(key, i)
+                x = v * PadicNum(ctx.ring, *pair_pow(ctx.ring, s.a, s.b, e))
+                if not x.is_zero():
+                    want[key] = x
+            assert f.d_char(i, e).coeffs == want
+
+
+def _analytic_r(ctx, u, chi):
+    """The iteration exponent on sigma_1 with analytic part u, finite part chi."""
+    ring1 = PadicRing(ctx.p, ctx.N, 1)
+    tor = ctx.ring.residue_order()
+    return WeightCharacter(ring1, tor, (ring1.from_int(u), ring1.zero), (chi, 0))
+
+
+@pytest.mark.parametrize("p", sorted(FIELDS))
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 999),
+    B=st.integers(1, 8),
+    w=st.integers(2, 12),
+    r=st.integers(-5, 2),
+    m=st.integers(0, 3),
+)
+def test_inert_nabla_pow_agrees_across_precision(p, n, seed, B, w, r, m):
+    # the same depleted form and analytic exponent at N + 2 and at N: the
+    # terms at N + 2, reduced mod p^N, are the terms at N
+    D = FIELDS[p][1][0]
+    big, small = context_for(D, p, n + 2), context_for(D, p, n)
+    assert small.sp.kind == "inert"
+    g = random_depleted(seed, big, B)
+    gn = HilbertQExp(small, SUPPORT_DINV, B,
+                     {k: v.truncate(small.ring) for k, v in g.coeffs.items()})
+    out = {}
+    for ctx, f in ((big, g), (small, gn)):
+        tor = ctx.ring.residue_order()
+        k = WeightCharacter.from_classical(PadicRing(p, ctx.N, 1), tor, (w, w))
+        rc = _analytic_r(ctx, r + (p - 1) * p**m, r % tor)
+        out[ctx.N] = nabla_pow(f, k, rc).terms
+    for j, term in out[n + 2].items():
+        want = out[n][j].coeffs if j in out[n] else {}
+        got = {k: v.truncate(small.ring) for k, v in term.coeffs.items()}
+        assert {k: v for k, v in got.items() if not v.is_zero()} == want
+    assert set(out[n]) <= set(out[n + 2])
+
+
+def test_analytic_nabla_pow_digest():
+    # nabla_pow at D = 5, inert p = 7, N = 12, B = 16 on the depleted
+    # weight-8 Eisenstein series, u = -2 + 6 * 7^m: pinned bytes
+    ctx = context_for(5, 7, 12)
+    g = hilbert_eisenstein(8, ctx, 16).deplete("all")
+    k = WeightCharacter.from_classical(PadicRing(7, 12, 1), 48, (8, 8))
+    docs = [dump(noc_to_dict(nabla_pow(g, k, _analytic_r(ctx, -2 + 6 * 7**m, 46))))
+            for m in range(5)]
+    digest = hashlib.sha256("".join(docs).encode()).hexdigest()
+    assert digest == (
+        "2558ec1de96387fed1dfe4314c8f4a3764c295f002bb2a3406cfa9d63fa58f77"
+    )
 
 
 def test_ladder_rejects_mixed_rings_and_torsion():

@@ -10,11 +10,15 @@ from padicgz.padic import (
     PadicRing,
     PrecisionBudget,
     batch_inverse,
+    char_exponent,
     hensel_sqrt,
+    pair_pow,
     pbinom,
     pexp,
     plog,
     ppow,
+    series_pays,
+    series_power,
     teichmuller,
 )
 
@@ -66,6 +70,58 @@ def test_batch_inverse_short_lists():
     assert batch_inverse([2], 49) == [25]
     with pytest.raises(NonUnitInverse):
         batch_inverse([7], 49)
+
+
+def _products_margin(ring, e):
+    """Pair products of series_power at e less those of pair_pow's
+    square-and-multiply, counted independently of series_pays."""
+    o = ring.residue_order()
+    q, r = divmod(e, o)
+
+    def chain(k):  # squares and multiplies of one square-and-multiply chain
+        return max(k.bit_length() - 1, 0) + bin(k).count("1")
+
+    shared = chain(o) + bin(r).count("1")  # x^r rides on the squares of x^o
+    return shared + min(q, ring.N - 1) + 1 - chain(e)
+
+
+@st.composite
+def series_cases(draw, p):
+    ring = PadicRing(p, draw(st.integers(1, 24)), 2)
+    m, o = ring.modulus, ring.residue_order()
+    coord = st.integers(0, m - 1)
+    a, b = draw(st.tuples(coord, coord).filter(lambda t: t[0] % p or t[1] % p))
+    kind = draw(st.sampled_from(("below", "multiple", "threshold", "character")))
+    if kind == "below":
+        exponents = [draw(st.integers(0, o - 1))]
+    elif kind == "multiple":
+        exponents = [o * draw(st.integers(0, 3 * p ** (ring.N - 1)))]
+    elif kind == "threshold":
+        # an exponent where the two routes' product counts differ by at most
+        # one, where the rule switches, and its two neighbours
+        rng = random.Random(draw(st.integers(0, 999)))
+        top = (o * p ** (ring.N - 1)).bit_length() + 4
+        while True:
+            bits = rng.randint(1, top)
+            e = rng.randrange(1 << (bits - 1), 1 << bits)
+            if abs(_products_margin(ring, e)) <= 1:
+                break
+        exponents = [e - 1, e, e + 1]
+    else:
+        u = draw(st.integers(-(10**6), 10**6))
+        exponents = [char_exponent(ring, u, draw(st.integers(-200, 200)))]
+    return ring, a, b, draw(coord), draw(coord), exponents
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+@given(data=st.data())
+def test_series_power_matches_pair_pow(p, data):
+    ring, a, b, ca, cb, exponents = data.draw(series_cases(p))
+    for e in exponents:
+        want = pair_pow(ring, a, b, e, ca, cb)
+        assert series_power(ring, e)(a, b, ca, cb) == want
+        assert series_power(ring, e)(a, b) == pair_pow(ring, a, b, e)
+        assert series_pays(ring, e) == (_products_margin(ring, e) < 0)
 
 
 def test_inv_nonunit_raises():
