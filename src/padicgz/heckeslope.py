@@ -256,17 +256,20 @@ class SlopeProjection:
     budget: PrecisionBudget
 
 
-def coordinates(basis: ClassicalBasis, gamma: EllipticQExp, on_residual="raise"):
+def coordinates(
+    basis: ClassicalBasis, gamma: EllipticQExp, on_residual="raise", canon=None
+):
     """Coordinates of gamma in the basis (ScaledPadic entries, precision
     capped by the basis determinant valuation), with a residual check up
     to the common depth of the basis and gamma.  A nonzero residual raises
     NotInSpan, or with on_residual='flag' sets in_span to False.  A gamma
     whose bound stops short of the last canonical row is a ConfigError.
+    canon is canonical_rows(basis) when the caller already has it.
 
     Returns (coords, det_loss, in_span).
     """
     ring = basis.ring
-    idx, rows, det = canonical_rows(basis)
+    idx, rows, det = canon or canonical_rows(basis)
     if gamma.bound < idx[-1]:
         raise ConfigError(
             f"input bound {gamma.bound} is below the basis's canonical row "
@@ -397,6 +400,7 @@ def eigen_pair(
     basis: ClassicalBasis,
     block: EigenBlock,
     on_residual="raise",
+    canon=None,
 ):
     """The isotypic-coordinate functional: the coefficient of the
     stabilization f_alpha = f - beta V f in gamma, normalized by
@@ -407,7 +411,7 @@ def eigen_pair(
     ring = basis.ring
     if block.equal_slopes:
         raise EqualSlopes("cannot separate an equal-slope block")
-    coords, det_loss, in_span = coordinates(basis, gamma, on_residual)
+    coords, det_loss, in_span = coordinates(basis, gamma, on_residual, canon)
     cf = coords[block.f_index]
     cvf = coords[block.vf_index]
     budget = PrecisionBudget(ring.N)

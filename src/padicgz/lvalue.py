@@ -20,6 +20,7 @@ from .errors import (
     InsufficientValuation,
     NotEigenform,
     PrecisionExhausted,
+    UnderDetermined,
 )
 from .nearlyoc import (
     NearlyOCExpansion,
@@ -32,7 +33,7 @@ from .nearlyoc import (
 )
 from .padic import PadicNum, PadicRing, PrecisionBudget, ScaledPadic
 from .qexp import HilbertQExp, agreement_valuation
-from .heckeslope import ClassicalBasis, EigenBlock, eigen_pair
+from .heckeslope import ClassicalBasis, EigenBlock, canonical_rows, eigen_pair
 from .serialize import basis_fingerprint, digits
 from .weights import WeightCharacter, classify_pair
 
@@ -618,15 +619,27 @@ def verify_gz(g: HilbertQExp, ell, s: int, k: int, config=None):
 # ---------------------------------------------------------------------------
 
 
-def _project_and_pair(noc, k, basis, block, budget, flags):
-    """< H(noc), f* > / < f*, f* > as a ScaledPadic, with the projection
-    and pairing losses absorbed into budget and an out-of-span pairing
-    input flagged.  Returns (value, projection shift)."""
-    proj = oc_project(noc, k)
+def _project_and_pair(build, gdep, k, basis, block, budget, flags):
+    """< H(build(gdep)), f* > / < f*, f* > as a ScaledPadic, with the
+    projection and pairing losses absorbed into budget and an out-of-span
+    pairing input flagged.  Returns (value, projection shift).
+
+    build and the projection act trace by trace, and the pairing reads
+    the canonical rows, then residuals in increasing trace.  So gdep is
+    cut at the last canonical row first, and built whole only when no
+    residual shows by then; a canonical_rows error is left to eigen_pair.
+    """
+    try:
+        canon = canonical_rows(basis)
+    except UnderDetermined:
+        canon = None
+    top = canon[0][-1] if canon else gdep.bound
+    for h in ([gdep.truncated(top)] if top < gdep.bound else []) + [gdep]:
+        proj = oc_project(build(h), k)
+        pair, pair_budget, in_span = eigen_pair(proj.form, basis, block, "flag", canon)
+        if not in_span:
+            break
     budget.absorb(proj.budget)
-    pair, pair_budget, in_span = eigen_pair(
-        proj.form, basis, block, on_residual="flag"
-    )
     budget.absorb(pair_budget)
     if not in_span:
         flags.append(
@@ -654,7 +667,8 @@ def lp_balanced(
     overconvergent projection -> isotypic pairing in the classical basis.
     The pairing functional is coordinate extraction at the canonical rows;
     out-of-span residuals are flagged, not fatal, and the report documents
-    them.
+    them.  The ladder runs to g's bound only when no residual shows by the
+    last canonical row (`_project_and_pair`).
     """
     config = dict(config or {})
     ell = tuple(ell)
@@ -670,9 +684,11 @@ def lp_balanced(
     config.setdefault("basis", basis_fingerprint(basis))
     budget = PrecisionBudget(ring.N)
     gdep = g.deplete("all")
-    noc = zeta_star_nabla_pow(gdep, _hchar(ctx, ell), _hchar(ctx, (-s - 1, 0)))
+    k_ell, r = _hchar(ctx, ell), _hchar(ctx, (-s - 1, 0))
     flags = []
-    value, shift = _project_and_pair(noc, k, basis, block, budget, flags)
+    value, shift = _project_and_pair(
+        lambda h: zeta_star_nabla_pow(h, k_ell, r), gdep, k, basis, block, budget, flags
+    )
     return EvaluationReport(
         kind="lp-balanced",
         config={
@@ -720,6 +736,7 @@ def aj_value(
     main-theorem relation against lp_balanced then holds by construction,
     with the non-circular content living in the verified q-expansion
     identities (see verify_gz and the decomposition/vanishing checks).
+    The ladder runs only for a value not withheld, and as in lp_balanced.
     """
     config = dict(config or {})
     ell = tuple(ell)
@@ -735,7 +752,7 @@ def aj_value(
         raise ConfigError(
             f"{kind} p = {ctx.p} needs {want} Hecke roots, got {len(roots)}"
         )
-    gz_noc = gz_sum(g.deplete("all"), ell[0], s, k)
+    gdep = g.deplete("all")
     euler = euler_factors(roots, (block.alpha, block.beta), -s - 1)
     report = EvaluationReport(
         kind=f"aj-{kind}",
@@ -760,7 +777,9 @@ def aj_value(
         report.budget = budget
         return report
 
-    pair, shift = _project_and_pair(gz_noc, k, basis, block, budget, report.flags)
+    pair, shift = _project_and_pair(
+        lambda h: gz_sum(h, ell[0], s, k), gdep, k, basis, block, budget, report.flags
+    )
     if kind == "split":
         value = euler.e_fstar * (euler.e_0p / euler.e_p) * pair
     else:

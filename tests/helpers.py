@@ -3,8 +3,9 @@
 import random
 
 from padicgz.errors import InsufficientValuation, NonUnitInverse, ZeroDenominator
-from padicgz.nearlyoc import OCProjection
-from padicgz.padic import PadicNum, PrecisionBudget
+from padicgz.heckeslope import eigen_pair
+from padicgz.nearlyoc import OCProjection, oc_project
+from padicgz.padic import PadicNum, PrecisionBudget, ScaledPadic
 from padicgz.qexp import EllipticQExp, HilbertQExp
 from padicgz.quadfield import SUPPORT_DINV, ideal_divisors, tot_pos_enum
 
@@ -118,3 +119,18 @@ def oc_project_by_chain(gamma, k: int) -> OCProjection:
         acc = term if acc is None else acc + term
     out = EllipticQExp(ring, acc.bound, acc.coeffs, weight_tag=k)
     return OCProjection(out, budget, shift)
+
+
+def project_and_pair_full(build, gdep, k, basis, block, budget, flags):
+    """Reference for lvalue._project_and_pair: the pairing input built from
+    the whole of gdep, projected and paired in one pass at its bound."""
+    proj = oc_project(build(gdep), k)
+    budget.absorb(proj.budget)
+    pair, pair_budget, in_span = eigen_pair(proj.form, basis, block, on_residual="flag")
+    budget.absorb(pair_budget)
+    if not in_span:
+        flags.append(
+            "pairing input outside the classical span: the value is the "
+            "isotypic coordinate of its span component"
+        )
+    return pair * ScaledPadic(proj.form.ring.one, -proj.shift), proj.shift

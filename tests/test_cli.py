@@ -14,11 +14,19 @@ from hypothesis import example, given, strategies as st
 
 from padicgz import lvalue, nearlyoc, qexp
 from padicgz.cli import main
-from padicgz.formgen import hilbert_eisenstein
+from padicgz.formgen import delta_form, elliptic_eisenstein, hilbert_eisenstein
+from padicgz.heckeslope import ClassicalBasis, EigenBlock
 from padicgz.lvalue import verify_gz
 from padicgz.nearlyoc import ELLIPTIC, NearlyOCExpansion, nabla_pow
 from padicgz.padic import PadicRing
-from padicgz.serialize import context_for, dump, noc_to_dict, read_json, write_json
+from padicgz.serialize import (
+    basis_to_dict,
+    context_for,
+    dump,
+    noc_to_dict,
+    read_json,
+    write_json,
+)
 from padicgz.weights import WeightCharacter
 
 from helpers import random_elliptic
@@ -360,6 +368,84 @@ def test_bound_grid_exit_codes(capsys, command, p):
                     "--N", str(N), "--B", str(B)]
             assert main(argv) in (0, 3, 4), " ".join(argv)
             capsys.readouterr()
+
+
+def _basis_file(path, p, dependent, equal_slopes):
+    """The demo basis at D = 5, N = 12, B = 40, with E12 in place of V E12
+    when dependent and an a_p of valuation 6 on the Delta block when
+    equal_slopes."""
+    ring = context_for(5, p, 12).ring
+    E, D = elliptic_eisenstein(12, 40, ring), delta_form(40, ring)
+    forms = [E, E if dependent else E.v().truncated(40), D, D.v().truncated(40)]
+    a_p = ring.from_int(p**6) if equal_slopes else D.coeff(p)
+    blocks = [
+        EigenBlock(0, 1, a_p=ring.from_int(1 + p**11), nebentype=ring.one),
+        EigenBlock(2, 3, a_p=a_p, nebentype=ring.one),
+    ]
+    write_json(str(path), basis_to_dict(ClassicalBasis(ring, 12, 1, forms, blocks)))
+    return str(path)
+
+
+EQUAL_SLOPES = "error [EqualSlopes]: cannot separate an equal-slope block"
+UNDER_DETERMINED = (
+    "error [UnderDetermined]: no coefficient rows certify independence at "
+    "working precision"
+)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize(
+    "dependent,equal_slopes,command,err",
+    [
+        (True, True, "lvalue", EQUAL_SLOPES),
+        (False, True, "lvalue", EQUAL_SLOPES),
+        (True, False, "lvalue", UNDER_DETERMINED),
+        (True, False, "aj", UNDER_DETERMINED),
+    ],
+)
+def test_pairing_error_precedence(tmp_path, capsys, p, dependent, equal_slopes, command,
+                                  err):
+    # the canonical rows are taken before the ladder, but their error comes
+    # after it and after the equal-slope check, as in one full-bound pass
+    basis = _basis_file(tmp_path / "basis.json", p, dependent, equal_slopes)
+    kind = {"lvalue": "--balanced", "aj": "--inert" if p == 7 else "--split"}[command]
+    for B in (3, 40):
+        argv = [command, kind, "--D", "5", "--p", str(p), "--l", "8,8", "--s", "1",
+                "--N", "12", "--B", str(B), "--basis", basis]
+        assert main(argv) == 2
+        out, got = capsys.readouterr()
+        assert got.strip() == err and not out
+
+
+@pytest.mark.parametrize("command", ["lvalue", "aj"])
+@pytest.mark.parametrize("p", [7, 11])
+def test_bound_below_the_last_canonical_row_exit_code(capsys, command, p):
+    kind = {"lvalue": "--balanced", "aj": "--inert" if p == 7 else "--split"}[command]
+    argv = [command, kind, "--D", "5", "--p", str(p), "--l", "8,8", "--s", "1",
+            "--N", "12", "--B", str(p - 1)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"error [configuration]: input bound {p - 1} is below the basis's "
+        f"canonical row {p}: use a bound >= {p}"
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "padicgz", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout.strip()
+    bad = run("lvalue", "--balanced", "--D", "5", "--p", "7", "--l", "8,8", "--s", "1",
+              "--N", "x")
+    assert bad.returncode == 3
+    assert bad.stderr.strip() == (
+        "error [configuration]: padicgz lvalue: argument --N: invalid int value: 'x'"
+    )
 
 
 @pytest.mark.parametrize("suite,p", [("gz-inert", "7"), ("gz-split", "11")])

@@ -3,12 +3,19 @@ Gross-Zagier-type identity machinery."""
 
 import math
 import random
+from unittest import mock
 
 import pytest
 
-from padicgz import suites
-from padicgz.errors import ConfigError, DecompositionFailed, PrecisionExhausted
-from padicgz.formgen import demo_basis, hilbert_eisenstein
+from padicgz import heckeslope, lvalue, suites
+from padicgz.errors import (
+    ConfigError,
+    DecompositionFailed,
+    PadicgzError,
+    PrecisionExhausted,
+)
+from padicgz.formgen import demo_basis, eisenstein_roots, hilbert_eisenstein
+from padicgz.heckeslope import canonical_rows
 from padicgz.lvalue import (
     EulerFactorSet,
     apply_vpoly,
@@ -27,12 +34,14 @@ from padicgz.lvalue import (
     lp_balanced,
     aj_value,
 )
-from padicgz.nearlyoc import zeta_star_nabla_pow
-from padicgz.padic import PadicRing, ScaledPadic
-from padicgz.qexp import QExpContext, agreement_valuation
+from padicgz.nearlyoc import wrap_fil0, zeta_star_nabla_pow
+from padicgz.padic import PadicRing, PrecisionBudget, ScaledPadic
+from padicgz.qexp import HilbertQExp, QExpContext, agreement_valuation
 from padicgz.quadfield import PrimeSplitting, make_field
-from padicgz.serialize import noc_to_dict
+from padicgz.serialize import context_for, dump, noc_to_dict
 from padicgz.weights import WeightCharacter
+
+from helpers import project_and_pair_full
 
 L = make_field(5)
 N = 12
@@ -324,3 +333,139 @@ def test_verify_gz_unit_scaling_invariance():
     rep2 = verify_gz(g.scale(R7.from_int(3)), (6, 6), 1, 8)
     assert rep1.passed and rep2.passed
     assert rep1.agreement_valuation == rep2.agreement_valuation
+
+
+def _outcome(fn, *args):
+    """dump of the report's dict, or the class and message of the error."""
+    try:
+        return dump(fn(*args).to_dict())
+    except PadicgzError as e:
+        return type(e).__name__, str(e)
+
+
+def _lp_and_aj(g, basis, roots, w):
+    block, ell = basis.blocks[1], (w, w)
+    return (
+        _outcome(lp_balanced, g, basis, block, ell, w - 7),
+        _outcome(aj_value, g, basis, block, roots, ell, w - 7),
+    )
+
+
+def test_pairing_matches_the_full_bound_oracle():
+    # the ladder and projection run to the last canonical row first; reports
+    # and errors equal one full-bound pass (the reference) around that row
+    values = 0
+    for D in (5, 13):
+        for p in (3, 7, 11, 13):
+            for Np in (4, 12):
+                try:
+                    ctx = context_for(D, p, Np)
+                except PadicgzError:
+                    continue
+                top = canonical_rows(demo_basis(ctx.ring, max(40, 2 * p)))[0][-1]
+                for B in sorted({top - 1, top, top + 1, 40}):
+                    basis = demo_basis(ctx.ring, max(B, 2 * p))
+                    for w in (7, 8, 10):
+                        g = hilbert_eisenstein(w, ctx, B)
+                        roots = eisenstein_roots(ctx, w)
+                        got = _lp_and_aj(g, basis, roots, w)
+                        with mock.patch.object(
+                            lvalue, "_project_and_pair", project_and_pair_full
+                        ):
+                            want = _lp_and_aj(g, basis, roots, w)
+                        assert got == want, (D, p, Np, B, w)
+                        values += sum(isinstance(x, str) for x in got)
+    assert values >= 100
+
+
+def _recording(fn, bounds):
+    def wrapper(h, *args):
+        bounds.append(h.bound)
+        return fn(h, *args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("evaluator", ["lvalue", "aj"])
+def test_zero_input_runs_at_top_then_at_full_bound(evaluator):
+    # the zero form has no residual up to the last canonical row, so the
+    # pairing input is built once more at the full bound
+    basis = demo_basis(R7, 40)
+    top = canonical_rows(basis)[0][-1]
+    zero = hilbert_eisenstein(8, CTX7, 40).scale(R7.zero)
+    name, args = {
+        "lvalue": ("zeta_star_nabla_pow", (lp_balanced, zero, basis, basis.blocks[1])),
+        "aj": ("gz_sum", (aj_value, zero, basis, basis.blocks[1], eisenstein_roots(CTX7, 8))),
+    }[evaluator]
+    bounds = []
+    with mock.patch.object(lvalue, name, _recording(getattr(lvalue, name), bounds)):
+        got = _outcome(*args, (8, 8), 1)
+    assert bounds == [top, 40]
+    with mock.patch.object(lvalue, "_project_and_pair", project_and_pair_full):
+        assert got == _outcome(*args, (8, 8), 1)
+    assert '"zero":true' in got
+
+
+@pytest.mark.parametrize("ctx", [CTX7, CTX11], ids=["p7", "p11"])
+@pytest.mark.parametrize("index", range(4))
+def test_basis_element_runs_at_top_then_at_full_bound(ctx, index):
+    # a basis element wrapped in filtration 0 is in span at every row
+    ring = ctx.ring
+    basis = demo_basis(ring, 40)
+    block = basis.blocks[1]
+    top = canonical_rows(basis)[0][-1]
+    gdep = hilbert_eisenstein(8, ctx, 40).deplete("all")
+    weight = WeightCharacter.from_classical(PadicRing(ctx.p, N, 1), ctx.p - 1, (12,))
+    form = basis.forms[index]
+    bounds = []
+
+    def build(h):
+        bounds.append(h.bound)
+        return wrap_fil0(form.truncated(h.bound), weight)
+
+    runs = []
+    for pair in (lvalue._project_and_pair, project_and_pair_full):
+        budget, flags = PrecisionBudget(ring.N), []
+        value, shift = pair(build, gdep, 12, basis, block, budget, flags)
+        runs.append((value, shift, budget.losses, flags))
+    assert bounds == [top, 40, 40]
+    assert runs[0] == runs[1]
+    # the coordinate of f_alpha = f - beta V f: alpha and 1 over alpha - beta
+    # on the block's f and V f, zero on the other block
+    coord = {block.f_index: block.alpha, block.vf_index: ring.one}.get(index)
+    if coord is None:
+        assert runs[0][0].is_zero()
+    else:
+        assert runs[0][0] == ScaledPadic(coord) / ScaledPadic(block.alpha - block.beta)
+    assert not runs[0][3]
+
+
+@pytest.mark.parametrize("ctx", [CTX7, CTX11], ids=["p7", "p11"])
+def test_demo_ladders_read_only_up_to_the_last_canonical_row(ctx):
+    # on the demo requests the first residual sits below the last canonical
+    # row, so every d_ladder call of lvalue and aj sees keys of trace <= top
+    basis = demo_basis(ctx.ring, 40)
+    top = canonical_rows(basis)[0][-1]
+    g = hilbert_eisenstein(8, ctx, 40)
+    seen = []
+    ladder = HilbertQExp.d_ladder
+
+    def counting(self, *args, **kwargs):
+        seen.append(max(key[1] for key in self.coeffs))
+        return ladder(self, *args, **kwargs)
+
+    rows = []
+
+    def rows_counted(b):
+        rows.append(b)
+        return canonical_rows(b)
+
+    # canonical_rows runs once per request: coordinates reads the rows taken
+    # before the ladder
+    with mock.patch.object(HilbertQExp, "d_ladder", counting), \
+            mock.patch.object(lvalue, "canonical_rows", rows_counted), \
+            mock.patch.object(heckeslope, "canonical_rows", rows_counted):
+        lp_balanced(g, basis, basis.blocks[1], (8, 8), 1)
+        aj_value(g, basis, basis.blocks[1], eisenstein_roots(ctx, 8), (8, 8), 1)
+    assert len(seen) == 2 and max(seen) <= top
+    assert len(rows) == 2
